@@ -14,13 +14,13 @@ void LoadKnowledgeBase(const KnowledgeBase& kb, Database* db) {
   }
 }
 
-void LoadReferencedRelations(const Program& program, const KnowledgeBase& kb,
-                             Database* db, SnapshotCache* cache) {
+std::vector<std::string> ReferencedRelations(const Program& program) {
   std::set<std::string> derived;
   for (const Rule& rule : program.rules) {
     derived.insert(rule.head.predicate);
   }
-  std::set<std::string> loaded;
+  std::set<std::string> seen;
+  std::vector<std::string> out;
   for (const Rule& rule : program.rules) {
     for (const Literal& lit : rule.body) {
       if (lit.kind != Literal::Kind::kAtom &&
@@ -28,14 +28,23 @@ void LoadReferencedRelations(const Program& program, const KnowledgeBase& kb,
         continue;
       }
       const std::string& pred = lit.atom.predicate;
-      if (derived.count(pred) > 0 || !loaded.insert(pred).second) continue;
-      if (cache != nullptr) {
-        db->AttachShared(cache->Get(kb, pred));
-        continue;
+      if (derived.count(pred) == 0 && seen.insert(pred).second) {
+        out.push_back(pred);
       }
-      const Relation* rel = kb.FindRelation(pred);
-      if (rel != nullptr) db->LoadRelation(*rel);
     }
+  }
+  return out;
+}
+
+void LoadReferencedRelations(const Program& program, const KnowledgeBase& kb,
+                             Database* db, SnapshotCache* cache) {
+  for (const std::string& pred : ReferencedRelations(program)) {
+    if (cache != nullptr) {
+      db->AttachShared(cache->Get(kb, pred));
+      continue;
+    }
+    const Relation* rel = kb.FindRelation(pred);
+    if (rel != nullptr) db->LoadRelation(*rel);
   }
 }
 

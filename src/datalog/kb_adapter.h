@@ -19,11 +19,16 @@ namespace vada::datalog {
 /// mutation hazards against concurrently updated relations.
 void LoadKnowledgeBase(const KnowledgeBase& kb, Database* db);
 
-/// Loads only the relations `program` actually reads: body-atom
-/// predicates that are not themselves derived by the program. Dependency
-/// checks and Vadalog transducers run hundreds of times per wrangle, so
-/// each evaluation stays proportional to the data it touches instead of
-/// the whole knowledge base. With a non-null `cache`, relations are
+/// The relations `program` reads from a knowledge base: predicates of
+/// positive and negated body atoms that no rule of the program derives,
+/// each once, in first-use order. A goal query's answer is a function of
+/// these relations' contents alone.
+std::vector<std::string> ReferencedRelations(const Program& program);
+
+/// Loads only the relations `program` actually reads (ReferencedRelations).
+/// Dependency checks and Vadalog transducers run hundreds of times per
+/// wrangle, so each evaluation stays proportional to the data it touches
+/// instead of the whole knowledge base. With a non-null `cache`, relations are
 /// borrowed as shared version-keyed snapshots (see SnapshotCache) —
 /// zero copying when the relation has not changed since the last scan —
 /// instead of row-by-row copies into `db`.

@@ -89,6 +89,12 @@ class KnowledgeBase {
   uint64_t relation_version(const std::string& name) const;
   uint64_t global_version() const { return global_version_; }
 
+  /// Incremented whenever a WriteGuard rollback rewinds the global
+  /// version. Versions above the rewound point are handed out again
+  /// afterwards, so (relation, version) names one content only within an
+  /// epoch; version-keyed memos store the epoch alongside.
+  uint64_t version_epoch() const { return version_epoch_; }
+
   /// Monotonic lifetime mutation counters. Observability layers diff them
   /// around an operation to attribute KB churn (e.g. facts added per
   /// orchestration step). Replace counts as remove-all + add-all, so for
@@ -139,6 +145,7 @@ class KnowledgeBase {
   std::map<std::string, Relation> relations_;
   std::map<std::string, uint64_t> versions_;
   uint64_t global_version_ = 0;
+  uint64_t version_epoch_ = 0;  // never restored by a rollback
   uint64_t facts_added_ = 0;
   uint64_t facts_removed_ = 0;
   Catalog catalog_;

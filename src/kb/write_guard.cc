@@ -63,6 +63,7 @@ void WriteGuard::Rollback() {
     }
   }
   kb_->versions_ = std::move(versions_);
+  if (kb_->global_version_ != global_version_) ++kb_->version_epoch_;
   kb_->global_version_ = global_version_;
   kb_->facts_added_ = facts_added_;
   kb_->facts_removed_ = facts_removed_;

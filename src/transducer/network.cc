@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <set>
 #include <thread>
 
 #include "common/logging.h"
@@ -155,23 +156,45 @@ Status NetworkTransducer::SyncControlFacts(KnowledgeBase* kb) {
 
 Status NetworkTransducer::SyncControlFactsIfStale(KnowledgeBase* kb) {
   if (control_synced_at_version_ != 0 &&
-      kb->global_version() == control_synced_at_version_) {
+      kb->global_version() == control_synced_at_version_ &&
+      kb->version_epoch() == control_synced_epoch_) {
     return Status::OK();
   }
   VADA_RETURN_IF_ERROR(SyncControlFacts(kb));
   // Record the post-sync version: if the sync itself bumped it, the
   // sys_* relations already reflect the (unchanged) non-sys state.
   control_synced_at_version_ = kb->global_version();
+  control_synced_epoch_ = kb->version_epoch();
   return Status::OK();
 }
 
-Result<const datalog::Program*> NetworkTransducer::ParsedDependency(
+bool NetworkTransducer::Dependency::MemoHolds(const KnowledgeBase& kb) const {
+  if (key.empty() || key[0] != kb.version_epoch()) return false;
+  for (size_t i = 0; i < read_set.size(); ++i) {
+    if (kb.relation_version(read_set[i]) != key[i + 1]) return false;
+  }
+  return true;
+}
+
+std::vector<uint64_t> NetworkTransducer::Dependency::KeyFor(
+    const KnowledgeBase& kb) const {
+  std::vector<uint64_t> k;
+  k.reserve(read_set.size() + 1);
+  k.push_back(kb.version_epoch());
+  for (const std::string& r : read_set) k.push_back(kb.relation_version(r));
+  return k;
+}
+
+Result<NetworkTransducer::Dependency*> NetworkTransducer::DependencyFor(
     const std::string& source) {
-  auto it = parsed_deps_.find(source);
-  if (it == parsed_deps_.end()) {
+  auto it = dependencies_.find(source);
+  if (it == dependencies_.end()) {
     Result<datalog::Program> program = datalog::Parser::Parse(source);
     if (!program.ok()) return program.status();
-    it = parsed_deps_.emplace(source, std::move(program).value()).first;
+    Dependency dep;
+    dep.program = std::move(program).value();
+    dep.read_set = datalog::ReferencedRelations(dep.program);
+    it = dependencies_.emplace(source, std::move(dep)).first;
   }
   return &it->second;
 }
@@ -179,12 +202,11 @@ Result<const datalog::Program*> NetworkTransducer::ParsedDependency(
 Result<bool> NetworkTransducer::IsSatisfied(const Transducer& transducer,
                                             KnowledgeBase* kb) {
   VADA_RETURN_IF_ERROR(SyncControlFactsIfStale(kb));
-  Result<const datalog::Program*> program =
-      ParsedDependency(transducer.input_dependency());
+  Result<Dependency*> dep = DependencyFor(transducer.input_dependency());
+  if (dep.ok() && dep.value()->MemoHolds(*kb)) return dep.value()->ready;
   Result<std::vector<Tuple>> ready =
-      program.ok()
-          ? datalog::QueryKnowledgeBase(*program.value(), *kb, "ready")
-          : program.status();
+      dep.ok() ? datalog::QueryKnowledgeBase(dep.value()->program, *kb, "ready")
+               : dep.status();
   if (!ready.ok()) {
     // Chain the message but keep the underlying code (a parse error stays
     // kParseError, an evaluation bug stays kInternal) so callers can
@@ -193,7 +215,9 @@ Result<bool> NetworkTransducer::IsSatisfied(const Transducer& transducer,
                   "input dependency of " + transducer.name() +
                       " failed to evaluate: " + ready.status().message());
   }
-  return !ready.value().empty();
+  dep.value()->key = dep.value()->KeyFor(*kb);
+  dep.value()->ready = !ready.value().empty();
+  return dep.value()->ready;
 }
 
 std::vector<std::string> NetworkTransducer::QuarantinedTransducers() const {
@@ -305,6 +329,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
   obs::Counter* steps_counter = nullptr;
   obs::Counter* effective_counter = nullptr;
   obs::Counter* dep_checks_counter = nullptr;
+  obs::Counter* memo_hits_counter = nullptr;
   obs::Histogram* eligibility_hist = nullptr;
   obs::Histogram* dep_check_hist = nullptr;
   obs::Histogram* rollback_hist = nullptr;
@@ -318,6 +343,10 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
                                       "Executions that changed the KB");
     dep_checks_counter = m->GetCounter("vada_orchestrator_dependency_checks",
                                        "Input-dependency query evaluations");
+    memo_hits_counter = m->GetCounter(
+        "vada_orchestrator_dependency_memo_hits",
+        "Input-dependency answers reused because no relation the query "
+        "reads had changed");
     eligibility_hist = m->GetHistogram(
         "vada_orchestrator_eligibility_seconds",
         "Per-step control-fact sync plus eligibility scan",
@@ -394,6 +423,8 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
     // concurrent when a pool is configured; (3) sequential consumption
     // in registration order, so failure recording, abort behavior, and
     // the eligible order the policy sees match the inline path exactly.
+    // A query runs only when its memoised answer no longer holds: most
+    // steps move relations no dependency reads.
     std::vector<Transducer*> eligible;
     {
       obs::ScopedSpan eligibility_span(spans, eligibility_hist, "eligibility",
@@ -435,43 +466,61 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         candidates.push_back(t.get());
       }
 
-      // Phase 2 (parallel mode only): evaluate every candidate's query
-      // up front on the pool. The KB is not mutated until the chosen
-      // transducer executes, and snapshot-cache lookups are thread-safe,
-      // so the queries are independent pure reads.
+      // Dependency texts parse at most once per Run sequence; resolve
+      // them up front (sequentially — the map is not thread-safe).
+      std::vector<Result<Dependency*>> deps;
+      deps.reserve(candidates.size());
+      for (Transducer* t : candidates) {
+        deps.push_back(DependencyFor(t->input_dependency()));
+      }
+      auto memo_holds = [&](size_t i) {
+        return deps[i].ok() && deps[i].value()->MemoHolds(*kb);
+      };
       std::vector<Result<std::vector<Tuple>>> ready(
           candidates.size(),
           Result<std::vector<Tuple>>(Status::Internal("not evaluated")));
-      // Dependency texts parse at most once per Run sequence; resolve
-      // them up front (sequentially — the cache is not thread-safe).
-      std::vector<Result<const datalog::Program*>> programs;
-      programs.reserve(candidates.size());
-      for (Transducer* t : candidates) {
-        programs.push_back(ParsedDependency(t->input_dependency()));
-      }
+      std::vector<std::vector<uint64_t>> keys(candidates.size());
       auto eval_dep = [&](size_t i) {
         // SpanCollector is thread-safe (per-thread lanes), so pool
         // workers record real spans — each worker lands on its own
         // Chrome-trace tid instead of interleaving on one.
         obs::ScopedSpan dep_span(spans, dep_check_hist, "dep_check",
                                  "orchestrator");
-        ready[i] = programs[i].ok()
-                       ? datalog::QueryKnowledgeBase(*programs[i].value(), *kb,
-                                                     "ready", eval_options,
-                                                     cache)
-                       : programs[i].status();
+        if (!deps[i].ok()) {
+          ready[i] = deps[i].status();
+          return;
+        }
+        keys[i] = deps[i].value()->KeyFor(*kb);
+        ready[i] = datalog::QueryKnowledgeBase(deps[i].value()->program, *kb,
+                                               "ready", eval_options, cache);
       };
+
+      // Phase 2 (parallel mode only): evaluate up front on the pool every
+      // query whose memoised answer no longer holds, once per distinct
+      // dependency (candidates sharing a text find its answer memoised
+      // in phase 3). The KB is not mutated until the chosen transducer
+      // executes, and snapshot-cache lookups are thread-safe, so the
+      // queries are independent pure reads.
       const bool parallel_scan = pool != nullptr && candidates.size() > 1;
+      std::vector<bool> evaluated(candidates.size(), false);
       if (parallel_scan) {
-        std::vector<uint64_t> query_ns(candidates.size(), 0);
+        std::vector<size_t> misses;
+        std::set<const Dependency*> queued;
+        for (size_t i = 0; i < candidates.size(); ++i) {
+          if (memo_holds(i)) continue;
+          if (deps[i].ok() && !queued.insert(deps[i].value()).second) continue;
+          misses.push_back(i);
+          evaluated[i] = true;
+        }
+        std::vector<uint64_t> query_ns(misses.size(), 0);
         uint64_t wall0 = obs::MonotonicNanos();
-        pool->ParallelFor(candidates.size(), [&](size_t i) {
+        pool->ParallelFor(misses.size(), [&](size_t k) {
           uint64_t q0 = obs::MonotonicNanos();
-          eval_dep(i);
-          query_ns[i] = obs::MonotonicNanos() - q0;
+          eval_dep(misses[k]);
+          query_ns[k] = obs::MonotonicNanos() - q0;
         });
         uint64_t wall = obs::MonotonicNanos() - wall0;
-        if (scan_speedup_hist != nullptr && wall > 0) {
+        if (scan_speedup_hist != nullptr && misses.size() > 1 && wall > 0) {
           uint64_t sequential_ns = 0;
           for (uint64_t ns : query_ns) sequential_ns += ns;
           scan_speedup_hist->Observe(static_cast<double>(sequential_ns) /
@@ -479,15 +528,23 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         }
       }
 
-      // Phase 3: consume results in registration order. Counters are
+      // Phase 3: consume answers in registration order. Counters are
       // incremented here, not at evaluation, so an abort on a failed
       // dependency reports the same dependency_checks as the inline
-      // path, which never evaluates past the failure.
+      // path, which never evaluates past the failure. A candidate not
+      // evaluated up front reads the memo now, against the KB as the
+      // inline path sees it, and evaluates on a miss.
       for (size_t i = 0; i < candidates.size(); ++i) {
         Transducer* t = candidates[i];
+        if (!evaluated[i] && memo_holds(i)) {
+          ++st->dependency_memo_hits;
+          if (memo_hits_counter != nullptr) memo_hits_counter->Increment();
+          if (deps[i].value()->ready) eligible.push_back(t);
+          continue;
+        }
         ++st->dependency_checks;
         if (dep_checks_counter != nullptr) dep_checks_counter->Increment();
-        if (!parallel_scan) eval_dep(i);
+        if (!evaluated[i]) eval_dep(i);
         if (!ready[i].ok()) {
           Status dep_error(ready[i].status().code(),
                            "input dependency of " + t->name() +
@@ -504,7 +561,10 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
           last_run_version_[t->name()] = kb->global_version();
           continue;
         }
-        if (!ready[i].value().empty()) eligible.push_back(t);
+        Dependency* dep = deps[i].value();
+        dep->key = std::move(keys[i]);
+        dep->ready = !ready[i].value().empty();
+        if (dep->ready) eligible.push_back(t);
       }
     }
     if (eligible.empty()) {

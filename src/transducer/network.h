@@ -103,6 +103,9 @@ struct OrchestrationStats {
   size_t steps = 0;
   size_t effective_steps = 0;   ///< steps that changed the KB
   size_t dependency_checks = 0; ///< input-dependency query evaluations
+  /// Dependency answers reused because the query's read set did not move
+  /// since it was last evaluated (no query ran; see NetworkTransducer).
+  size_t dependency_memo_hits = 0;
   size_t failures = 0;          ///< steps whose every attempt failed
   size_t retries = 0;           ///< extra Execute() attempts after a failure
   size_t rollbacks = 0;         ///< write-guard rollbacks performed
@@ -115,7 +118,9 @@ struct OrchestrationStats {
 ///     (sys_relation_role, sys_relation_nonempty, sys_relation_attribute);
 ///  2. finds eligible transducers: input dependency derives `ready` AND
 ///     the KB changed since the transducer last ran AND the transducer is
-///     not quarantined;
+///     not quarantined. A dependency answer is memoised against the
+///     versions of the relations its query reads and re-evaluated only
+///     when one of them moved (DESIGN.md §5l);
 ///  3. lets the scheduling policy pick one and executes it under a
 ///     KB write-guard, retrying failed attempts per the failure policy;
 /// until no transducer is eligible (fixpoint), max_steps is hit, or the
@@ -158,7 +163,8 @@ class NetworkTransducer {
   Status Run(KnowledgeBase* kb, OrchestrationStats* stats = nullptr);
 
   /// Evaluates one transducer's input dependency against `kb` (with
-  /// control relations refreshed); exposed for Table 1 benches/tests.
+  /// control relations refreshed), sharing the scans' answer memo;
+  /// exposed for Table 1 benches/tests.
   Result<bool> IsSatisfied(const Transducer& transducer, KnowledgeBase* kb);
 
   const ExecutionTrace& trace() const { return trace_; }
@@ -168,11 +174,11 @@ class NetworkTransducer {
   /// for tests.
   static Status SyncControlFacts(KnowledgeBase* kb);
 
-  /// SyncControlFacts, skipped when the KB's global version is unchanged
-  /// since this instance's previous sync. Sound because the sys_*
-  /// relations are a pure function of the non-sys relations, and every
-  /// role change in the codebase rides on a relation mutation (which
-  /// bumps the global version).
+  /// SyncControlFacts, skipped when the KB's global version (and version
+  /// epoch) is unchanged since this instance's previous sync. Sound
+  /// because the sys_* relations are a pure function of the non-sys
+  /// relations, and every role change in the codebase rides on a
+  /// relation mutation (which bumps the global version).
   Status SyncControlFactsIfStale(KnowledgeBase* kb);
 
   /// Names of transducers whose circuit is currently open, sorted.
@@ -196,11 +202,30 @@ class NetworkTransducer {
   size_t OpenCircuits() const;
   void PublishQuarantineGauge(obs::MetricsRegistry* metrics) const;
 
-  /// Returns the parsed form of a dependency-query text, parsing it at
-  /// most once per distinct text (dependency texts are fixed at
-  /// transducer construction, and eligibility scans re-evaluate each of
-  /// them every step).
-  Result<const datalog::Program*> ParsedDependency(const std::string& source);
+  /// One distinct dependency-query text: its parsed program, the KB
+  /// relations the program reads, and its memoised answer. The answer is
+  /// a pure function of the read set's contents, which the KB version
+  /// epoch plus each read relation's version identify; so while `key`
+  /// still matches the KB, `ready` is the answer and no query runs.
+  struct Dependency {
+    datalog::Program program;
+    std::vector<std::string> read_set;  ///< datalog::ReferencedRelations
+    /// Empty until the first successful evaluation; then the version
+    /// epoch followed by the read set's versions (in read_set order) at
+    /// that evaluation. Failed evaluations are never memoised.
+    std::vector<uint64_t> key;
+    bool ready = false;
+
+    /// Whether the memoised answer still holds for `kb`.
+    bool MemoHolds(const KnowledgeBase& kb) const;
+    /// The key of `kb`'s current read-set contents.
+    std::vector<uint64_t> KeyFor(const KnowledgeBase& kb) const;
+  };
+
+  /// Returns the entry for a dependency-query text, parsing it at most
+  /// once per distinct text (dependency texts are fixed at transducer
+  /// construction; transducers with the same text share one entry).
+  Result<Dependency*> DependencyFor(const std::string& source);
 
   TransducerRegistry* registry_;  // not owned
   std::unique_ptr<SchedulingPolicy> policy_;
@@ -208,8 +233,9 @@ class NetworkTransducer {
   ExecutionTrace trace_;
   std::map<std::string, uint64_t> last_run_version_;
   std::map<std::string, FailureState> failure_state_;
-  std::map<std::string, datalog::Program> parsed_deps_;
+  std::map<std::string, Dependency> dependencies_;
   uint64_t control_synced_at_version_ = 0;
+  uint64_t control_synced_epoch_ = 0;
   size_t next_step_ = 0;
   /// High-water mark of options_.pool->tasks_executed() already published
   /// to the vada_pool_tasks_total counter (published as deltas per Run).

@@ -36,6 +36,15 @@ TEST(KbAdapterTest, LoadReferencedRelationsSkipsUnreferenced) {
   EXPECT_EQ(db.FactCount("huge"), 0u);     // not mentioned: not loaded
 }
 
+TEST(KbAdapterTest, ReferencedRelationsAreUnderivedBodyAtomsInFirstUseOrder) {
+  Program p = MustParse(
+      "mid(X) :- huge(X), not negated(X).\n"
+      "out(X) :- mid(X), small(X), huge(X), X < 3.\n");
+  EXPECT_EQ(ReferencedRelations(p),
+            (std::vector<std::string>{"huge", "negated", "small"}));
+  EXPECT_TRUE(ReferencedRelations(MustParse("fact(1).")).empty());
+}
+
 TEST(KbAdapterTest, DerivedPredicatesNotPreloaded) {
   KnowledgeBase kb = ThreeRelationKb();
   // A KB relation that shadows an IDB predicate must not leak in as EDB:

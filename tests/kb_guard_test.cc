@@ -225,5 +225,36 @@ TEST(WriteGuardTest, SequentialGuardsOnOneKb) {
   EXPECT_EQ(kb.FindRelation("a")->size(), 3u);
 }
 
+TEST(WriteGuardTest, VersionEpochMarksRewoundVersions) {
+  KnowledgeBase kb = MakeKb();
+  const uint64_t epoch = kb.version_epoch();
+  {
+    WriteGuard guard(&kb);  // rolled back, but nothing was written
+  }
+  EXPECT_EQ(kb.version_epoch(), epoch);
+  {
+    WriteGuard guard(&kb);
+    ASSERT_TRUE(kb.Insert("a", {Value::Int(3), Value::String("x")}).ok());
+    guard.Commit();
+  }
+  EXPECT_EQ(kb.version_epoch(), epoch);
+
+  // A rollback that rewinds the global version hands its versions out
+  // again: the same (relation, version) now names different rows, and
+  // only the epoch tells the two apart.
+  const uint64_t version = kb.global_version();
+  uint64_t rolled_back_version = 0;
+  {
+    WriteGuard guard(&kb);
+    ASSERT_TRUE(kb.Insert("b", {Value::String("first")}).ok());
+    rolled_back_version = kb.relation_version("b");
+  }
+  EXPECT_EQ(kb.global_version(), version);  // rollback stays exact
+  EXPECT_EQ(kb.version_epoch(), epoch + 1);
+  ASSERT_TRUE(kb.Insert("b", {Value::String("second")}).ok());
+  EXPECT_EQ(kb.relation_version("b"), rolled_back_version);
+  EXPECT_EQ(kb.version_epoch(), epoch + 1);
+}
+
 }  // namespace
 }  // namespace vada
