@@ -1,9 +1,7 @@
 #include "datalog/differential.h"
 
 #include <algorithm>
-#include <functional>
 #include <iomanip>
-#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -11,8 +9,6 @@
 
 namespace vada::datalog {
 namespace {
-
-constexpr size_t kNoTarget = static_cast<size_t>(-1);
 
 void MergeEval(const EvalStats& from, EvalStats* to) {
   to->iterations += from.iterations;
@@ -42,6 +38,16 @@ std::vector<SymbolId> InternRow(const Tuple& t) {
   std::vector<SymbolId> row(t.size());
   for (size_t i = 0; i < t.size(); ++i) row[i] = table.Intern(t.at(i));
   return row;
+}
+
+/// Predicates of `rule`'s positive body atoms, in declared order — the
+/// occurrence numbering Evaluator::Sweep's sources follow.
+std::vector<std::string> AtomPredicates(const Rule& rule) {
+  std::vector<std::string> out;
+  for (const Literal& l : rule.body) {
+    if (l.kind == Literal::Kind::kAtom) out.push_back(l.atom.predicate);
+  }
+  return out;
 }
 
 std::string JoinPreds(const std::vector<std::string>& preds) {
@@ -87,7 +93,6 @@ Status DifferentialEvaluator::Prepare() {
     bool same_stratum_ref = false;
     for (const Rule& r : program_.rules) {
       if (si.pred_set.count(r.head.predicate) == 0) continue;
-      si.rules.push_back(&r);
       si.sub_program.rules.push_back(r);
       if (r.HasAggregates()) si.has_negation_or_aggregates = true;
       for (const Literal& l : r.body) {
@@ -111,17 +116,6 @@ Status DifferentialEvaluator::Prepare() {
       si.mode = StratumMode::kMonotone;
     } else {
       si.mode = StratumMode::kCounting;
-      for (const Rule* r : si.rules) {
-        SweepRule sweep;
-        if (!CompileSweep(*r, &sweep)) {
-          // Defensive: every validated negation/aggregate-free rule
-          // should compile; fall back to the slower-but-sound mode.
-          si.mode = StratumMode::kMonotone;
-          si.sweeps.clear();
-          break;
-        }
-        si.sweeps.push_back(std::move(sweep));
-      }
     }
     si.sub_eval = std::make_unique<Evaluator>(si.sub_program, sub_opts);
     VADA_RETURN_IF_ERROR(si.sub_eval->Prepare());
@@ -130,251 +124,6 @@ Status DifferentialEvaluator::Prepare() {
   }
   prepared_ = true;
   return Status::OK();
-}
-
-bool DifferentialEvaluator::CompileSweep(const Rule& rule,
-                                         SweepRule* out) const {
-  if (rule.HasAggregates()) return false;
-  SymbolTable& table = SymbolTable::Global();
-  // Slot existence doubles as boundness: slots are created only when a
-  // placed atom or assignment binds the variable.
-  std::map<std::string, int> slots;
-  auto make_term = [&](const Term& t,
-                       bool bind_new) -> std::optional<SweepTerm> {
-    SweepTerm st;
-    if (t.is_constant()) {
-      st.constant = t.value();
-      st.const_id = table.Intern(t.value());
-      return st;
-    }
-    if (!t.is_variable()) return std::nullopt;
-    st.is_var = true;
-    auto it = slots.find(t.var());
-    if (it == slots.end()) {
-      if (!bind_new) return std::nullopt;
-      it = slots.emplace(t.var(), static_cast<int>(slots.size())).first;
-    }
-    st.slot = it->second;
-    return st;
-  };
-
-  std::vector<const Literal*> atoms;
-  std::vector<const Literal*> filters;  // comparisons + assignments
-  for (const Literal& l : rule.body) {
-    switch (l.kind) {
-      case Literal::Kind::kAtom:
-        atoms.push_back(&l);
-        break;
-      case Literal::Kind::kNegatedAtom:
-        return false;
-      default:
-        filters.push_back(&l);
-        break;
-    }
-  }
-  // Greedy safe order: atoms keep their declared relative order (the
-  // delta decomposition is order-insensitive, only safety matters);
-  // each filter is placed as soon as its variables are bound.
-  std::vector<bool> placed(filters.size(), false);
-  auto place_ready_filters = [&]() {
-    bool progress = true;
-    while (progress) {
-      progress = false;
-      for (size_t i = 0; i < filters.size(); ++i) {
-        if (placed[i]) continue;
-        const Literal& l = *filters[i];
-        SweepLit sl;
-        sl.kind = l.kind;
-        if (l.kind == Literal::Kind::kComparison) {
-          std::optional<SweepTerm> a = make_term(l.lhs, false);
-          std::optional<SweepTerm> b = make_term(l.rhs, false);
-          if (!a.has_value() || !b.has_value()) continue;  // still unbound
-          sl.compare_op = l.compare_op;
-          sl.lhs = std::move(*a);
-          sl.rhs = std::move(*b);
-        } else {  // kAssignment
-          std::optional<SweepTerm> a = make_term(l.lhs, false);
-          if (!a.has_value()) continue;
-          sl.arith_op = l.arith_op;
-          sl.lhs = std::move(*a);
-          if (l.arith_op != ArithOp::kNone) {
-            std::optional<SweepTerm> b = make_term(l.rhs, false);
-            if (!b.has_value()) continue;
-            sl.rhs = std::move(*b);
-          }
-          auto it = slots.find(l.assign_var);
-          if (it == slots.end()) {
-            it = slots.emplace(l.assign_var, static_cast<int>(slots.size()))
-                     .first;
-          }
-          sl.assign_slot = it->second;
-        }
-        out->body.push_back(std::move(sl));
-        placed[i] = true;
-        progress = true;
-      }
-    }
-  };
-  for (const Literal* l : atoms) {
-    place_ready_filters();
-    SweepLit sl;
-    sl.kind = Literal::Kind::kAtom;
-    sl.predicate = l->atom.predicate;
-    for (const Term& t : l->atom.terms) {
-      std::optional<SweepTerm> st = make_term(t, true);
-      if (!st.has_value()) return false;
-      sl.terms.push_back(std::move(*st));
-    }
-    out->atom_positions.push_back(out->body.size());
-    out->body.push_back(std::move(sl));
-  }
-  place_ready_filters();
-  for (bool p : placed) {
-    if (!p) return false;  // unsafe filter — Validate() should prevent
-  }
-  out->head_pred = rule.head.predicate;
-  for (const Term& t : rule.head.terms) {
-    std::optional<SweepTerm> st = make_term(t, false);
-    if (!st.has_value()) return false;  // unbound head variable
-    out->head.push_back(std::move(*st));
-  }
-  out->num_slots = static_cast<int>(slots.size());
-  return true;
-}
-
-template <typename Emit>
-void DifferentialEvaluator::SweepSolutions(const SweepRule& rule,
-                                           const Database& new_db,
-                                           const Database* old_db,
-                                           size_t target_atom,
-                                           const std::vector<Row>* delta_rows,
-                                           EvalStats* st,
-                                           const Emit& emit) const {
-  SymbolTable& table = SymbolTable::Global();
-  std::vector<SymbolId> slots(rule.num_slots, kNoSymbol);
-  std::vector<int> trail;
-  auto term_value = [&](const SweepTerm& t) -> const Value& {
-    return t.is_var ? table.value(slots[t.slot]) : t.constant;
-  };
-  std::function<void(size_t, size_t)> descend = [&](size_t li,
-                                                    size_t atom_seen) {
-    if (li == rule.body.size()) {
-      Row head(rule.head.size());
-      for (size_t i = 0; i < rule.head.size(); ++i) {
-        const SweepTerm& t = rule.head[i];
-        head[i] = t.is_var ? slots[t.slot] : t.const_id;
-      }
-      emit(head);
-      return;
-    }
-    const SweepLit& lit = rule.body[li];
-    switch (lit.kind) {
-      case Literal::Kind::kAtom: {
-        const size_t k = atom_seen;
-        auto match_row = [&](const SymbolId* ids, size_t n) {
-          if (n != lit.terms.size()) return;
-          size_t mark = trail.size();
-          bool ok = true;
-          for (size_t p = 0; p < n; ++p) {
-            const SweepTerm& t = lit.terms[p];
-            if (!t.is_var) {
-              if (ids[p] != t.const_id) {
-                ok = false;
-                break;
-              }
-            } else if (slots[t.slot] == kNoSymbol) {
-              slots[t.slot] = ids[p];
-              trail.push_back(t.slot);
-            } else if (slots[t.slot] != ids[p]) {
-              ok = false;
-              break;
-            }
-          }
-          if (ok) descend(li + 1, k + 1);
-          while (trail.size() > mark) {
-            slots[trail.back()] = kNoSymbol;
-            trail.pop_back();
-          }
-        };
-        if (k == target_atom) {
-          for (const Row& r : *delta_rows) match_row(r.data(), r.size());
-          return;
-        }
-        // Occurrences left of the delta'd one read the updated store,
-        // occurrences right of it the pre-batch snapshot — the
-        // telescoping split that makes the signed sweep sum exactly
-        // Q(new) - Q(old).
-        const Database& db =
-            (target_atom == kNoTarget || k < target_atom) ? new_db : *old_db;
-        Database::View v = db.view(lit.predicate);
-        if (!v.valid() || v.arity() != lit.terms.size()) return;
-        size_t seek_pos = kNoTarget;
-        SymbolId seek_id = kNoSymbol;
-        for (size_t p = 0; p < lit.terms.size(); ++p) {
-          const SweepTerm& t = lit.terms[p];
-          if (!t.is_var) {
-            seek_pos = p;
-            seek_id = t.const_id;
-            break;
-          }
-          if (slots[t.slot] != kNoSymbol) {
-            seek_pos = p;
-            seek_id = slots[t.slot];
-            break;
-          }
-        }
-        const size_t arity = v.arity();
-        std::vector<SymbolId> row_ids(arity);
-        auto row_at = [&](uint32_t r) {
-          for (size_t p = 0; p < arity; ++p) row_ids[p] = v.column(p)[r];
-          match_row(row_ids.data(), arity);
-        };
-        if (seek_pos != kNoTarget) {
-          const std::vector<uint32_t>* postings = v.LookupId(seek_pos, seek_id);
-          if (postings == nullptr) return;
-          if (st != nullptr) st->join_probes += postings->size();
-          for (uint32_t r : *postings) row_at(r);
-        } else {
-          if (st != nullptr) st->join_probes += v.rows();
-          for (size_t r = 0; r < v.rows(); ++r) {
-            row_at(static_cast<uint32_t>(r));
-          }
-        }
-        return;
-      }
-      case Literal::Kind::kComparison: {
-        if (EvalCompare(lit.compare_op, term_value(lit.lhs),
-                        term_value(lit.rhs))) {
-          descend(li + 1, atom_seen);
-        }
-        return;
-      }
-      case Literal::Kind::kAssignment: {
-        const Value& a = term_value(lit.lhs);
-        std::optional<Value> result;
-        if (lit.arith_op == ArithOp::kNone) {
-          result = a;
-        } else {
-          result = ApplyArith(lit.arith_op, a, term_value(lit.rhs));
-        }
-        if (!result.has_value()) return;  // arithmetic failure: false
-        if (slots[lit.assign_slot] != kNoSymbol) {
-          // Mirror the evaluator: numeric coercion compares Values.
-          std::optional<int> cmp = CompareValues(
-              table.value(slots[lit.assign_slot]), *result);
-          if (cmp.has_value() && *cmp == 0) descend(li + 1, atom_seen);
-          return;
-        }
-        slots[lit.assign_slot] = table.Intern(*result);
-        descend(li + 1, atom_seen);
-        slots[lit.assign_slot] = kNoSymbol;
-        return;
-      }
-      case Literal::Kind::kNegatedAtom:
-        return;  // never compiled into sweeps
-    }
-  };
-  descend(0, 0);
 }
 
 Status DifferentialEvaluator::Initialize(const Database& edb,
@@ -426,14 +175,20 @@ Status DifferentialEvaluator::RebuildDerivedState(const Database& db,
   }
   for (StratumInfo& si : strata_) {
     if (si.mode == StratumMode::kCounting) {
-      for (const SweepRule& sweep : si.sweeps) {
-        PredState& ps = state_[sweep.head_pred];
+      for (size_t ri = 0; ri < si.sub_program.rules.size(); ++ri) {
+        const Rule& rule = si.sub_program.rules[ri];
+        const size_t arity = rule.head.terms.size();
+        PredState& ps = state_[rule.head.predicate];
         if (!ps.arity_set) {
-          ps.arity = sweep.head.size();
+          ps.arity = arity;
           ps.arity_set = true;
         }
-        SweepSolutions(sweep, db, nullptr, kNoTarget, nullptr, st,
-                       [&](const Row& row) { ++ps.rows[row].count; });
+        const std::vector<const Database*> sources(AtomPredicates(rule).size(),
+                                                   &db);
+        VADA_RETURN_IF_ERROR(si.sub_eval->Sweep(
+            ri, sources, kNoLead, db, st, [&](const SymbolId* head) {
+              ++ps.rows[Row(head, head + arity)].count;
+            }));
       }
     } else {
       for (const std::string& pred : si.preds) {
@@ -628,24 +383,41 @@ Status DifferentialEvaluator::ApplyCounting(
     StratumInfo* si, Database* next, std::map<std::string, PredDelta>* pending,
     const Stage* stage, DeltaStats* st) {
   ++st->strata_counting;
+  // The batch's signed input changes, as sources a sweep's delta
+  // occurrence can range over.
+  Database inserted;
+  Database retracted;
+  for (const std::string& in : si->input_preds) {
+    auto it = pending->find(in);
+    if (it == pending->end()) continue;
+    for (const Row& row : it->second.inserts) {
+      inserted.InsertIds(in, row.data(), row.size());
+    }
+    for (const Row& row : it->second.retracts) {
+      retracted.InsertIds(in, row.data(), row.size());
+    }
+  }
   std::map<std::string, std::map<Row, RowChange>> changes;
-  for (const SweepRule& sweep : si->sweeps) {
-    std::map<Row, RowChange>& head_changes = changes[sweep.head_pred];
-    for (size_t k = 0; k < sweep.atom_positions.size(); ++k) {
-      const SweepLit& atom = sweep.body[sweep.atom_positions[k]];
-      auto it = pending->find(atom.predicate);
-      if (it == pending->end()) continue;
-      if (!it->second.inserts.empty()) {
-        ++st->eval.rule_applications;
-        SweepSolutions(sweep, *next, current_.get(), k, &it->second.inserts,
-                       &st->eval,
-                       [&](const Row& row) { ++head_changes[row].count_delta; });
-      }
-      if (!it->second.retracts.empty()) {
-        ++st->eval.rule_applications;
-        SweepSolutions(sweep, *next, current_.get(), k, &it->second.retracts,
-                       &st->eval,
-                       [&](const Row& row) { --head_changes[row].count_delta; });
+  for (size_t ri = 0; ri < si->sub_program.rules.size(); ++ri) {
+    const Rule& rule = si->sub_program.rules[ri];
+    const size_t arity = rule.head.terms.size();
+    std::map<Row, RowChange>& head_changes = changes[rule.head.predicate];
+    const std::vector<std::string> atoms = AtomPredicates(rule);
+    for (size_t k = 0; k < atoms.size(); ++k) {
+      // Occurrences left of the delta'd one read the updated store,
+      // occurrences right of it the pre-batch snapshot — the
+      // telescoping split that makes the signed sweeps sum exactly to
+      // Q(new) - Q(old).
+      std::vector<const Database*> sources(atoms.size(), current_.get());
+      std::fill(sources.begin(), sources.begin() + k, next);
+      for (const Database* delta : {&inserted, &retracted}) {
+        if (delta->FactCount(atoms[k]) == 0) continue;
+        const int sign = delta == &inserted ? 1 : -1;
+        sources[k] = delta;
+        VADA_RETURN_IF_ERROR(si->sub_eval->Sweep(
+            ri, sources, k, *next, &st->eval, [&](const SymbolId* head) {
+              head_changes[Row(head, head + arity)].count_delta += sign;
+            }));
       }
     }
   }

@@ -66,7 +66,8 @@ struct DeltaStats {
 ///  * counting — non-recursive strata without negation/aggregates keep
 ///    an exact derivation count per fact and sweep each rule once per
 ///    changed body occurrence (old/new delta decomposition), handling
-///    inserts and retracts symmetrically;
+///    inserts and retracts symmetrically; sweeps run on the evaluator's
+///    own executor (Evaluator::Sweep), delta occurrence first;
 ///  * monotone — recursive positive strata under insert-only deltas
 ///    continue the semi-naive fixpoint from the insertions
 ///    (Evaluator::RunIncrement);
@@ -92,8 +93,8 @@ class DifferentialEvaluator {
   DifferentialEvaluator(const DifferentialEvaluator&) = delete;
   DifferentialEvaluator& operator=(const DifferentialEvaluator&) = delete;
 
-  /// Validates, stratifies, classifies strata and compiles counting
-  /// sweeps. Must be called once before Initialize.
+  /// Validates, stratifies, classifies strata and prepares one evaluator
+  /// per stratum. Must be called once before Initialize.
   Status Prepare();
 
   /// Evaluates the program over `edb` in full and records the base
@@ -119,30 +120,6 @@ class DifferentialEvaluator {
   const std::string& last_plan() const { return last_plan_; }
 
  private:
-  // -- compiled counting sweeps --------------------------------------
-  struct SweepTerm {
-    bool is_var = false;
-    int slot = -1;
-    SymbolId const_id = kNoSymbol;
-    Value constant;
-  };
-  struct SweepLit {
-    Literal::Kind kind = Literal::Kind::kAtom;
-    std::string predicate;          // kAtom
-    std::vector<SweepTerm> terms;   // kAtom
-    CompareOp compare_op = CompareOp::kEq;
-    ArithOp arith_op = ArithOp::kNone;
-    SweepTerm lhs, rhs;
-    int assign_slot = -1;
-  };
-  struct SweepRule {
-    std::string head_pred;
-    std::vector<SweepTerm> head;
-    std::vector<SweepLit> body;          // safe execution order
-    std::vector<size_t> atom_positions;  // body indexes of positive atoms
-    int num_slots = 0;
-  };
-
   // -- per-fact maintenance state ------------------------------------
   using Row = std::vector<SymbolId>;
   struct FactInfo {
@@ -173,26 +150,12 @@ class DifferentialEvaluator {
   struct StratumInfo {
     std::vector<std::string> preds;    // head predicates, sorted
     std::set<std::string> pred_set;
-    std::vector<const Rule*> rules;
     std::set<std::string> input_preds;  // body preds outside the stratum
     StratumMode mode = StratumMode::kComplex;
     bool has_negation_or_aggregates = false;
-    std::vector<SweepRule> sweeps;     // kCounting only
     Program sub_program;               // this stratum's rules
     std::unique_ptr<Evaluator> sub_eval;
   };
-
-  bool CompileSweep(const Rule& rule, SweepRule* out) const;
-  /// Enumerates the solutions of `rule` with atom occurrence
-  /// `target_atom` ranging over `delta_rows`, occurrences before it
-  /// reading `new_db` and after it reading `old_db` (the telescoping
-  /// delta decomposition); `target_atom` == npos enumerates in full
-  /// against `new_db`. Calls `emit(head_row)` per solution.
-  template <typename Emit>
-  void SweepSolutions(const SweepRule& rule, const Database& new_db,
-                      const Database* old_db, size_t target_atom,
-                      const std::vector<Row>* delta_rows, EvalStats* st,
-                      const Emit& emit) const;
 
   /// `stage` holds base-fact flips targeting this stratum's own head
   /// predicates (IDB facts fed directly from outside), keyed by

@@ -52,6 +52,10 @@ std::optional<Value> ApplyArith(ArithOp op, const Value& a, const Value& b) {
   return std::nullopt;
 }
 
+namespace {
+
+/// Truth of `a op b` under CompareValues semantics (incomparable values
+/// satisfy only `!=`) — the comparison-literal semantics.
 bool EvalCompare(CompareOp op, const Value& a, const Value& b) {
   std::optional<int> cmp = CompareValues(a, b);
   switch (op) {
@@ -70,8 +74,6 @@ bool EvalCompare(CompareOp op, const Value& a, const Value& b) {
   }
   return false;
 }
-
-namespace {
 
 // ---------------------------------------------------------------------------
 // Rule compilation: variables become dense slots; literals are put into a
@@ -172,7 +174,8 @@ class RuleCompiler {
                const PlannerOptions& planner)
       : stratum_preds_(stratum_preds), db_(db), planner_(planner) {}
 
-  CompiledRule Compile(const Rule& rule) {
+  /// `lead` (a body index, or kNoLead) is the first atom placed.
+  CompiledRule Compile(const Rule& rule, size_t lead = kNoLead) {
     CompiledRule out;
     out.text = rule.ToString();
     out.source = &rule;
@@ -182,7 +185,8 @@ class RuleCompiler {
     // estimated selectivity (or, without `reorder`, by bound-term
     // count — the legacy heuristic).
     std::vector<LiteralPlan> plan;
-    std::vector<size_t> order = PlanBodyOrder(rule, db_, planner_, &plan);
+    std::vector<size_t> order =
+        PlanBodyOrder(rule, db_, planner_, &plan, lead);
 
     // Compile in execution order, tracking which slots are bound when
     // each literal starts — that static set is exactly the runtime
@@ -377,17 +381,16 @@ struct JoinWork {
 };
 
 /// Evaluates one compiled rule body, invoking `on_solution` for every
-/// complete binding. `delta_position` (or npos) designates the body atom
-/// that must range over `delta` instead of `db` (semi-naive).
+/// complete binding. `sources[i]` is the database compiled body literal
+/// i reads (atoms range over it, negations check it): semi-naive points
+/// one atom at the round's delta (DeltaSources), a counting sweep gives
+/// every atom occurrence its own (Evaluator::Sweep).
 class RuleExecutor {
  public:
-  RuleExecutor(const CompiledRule& rule, const Database& db,
-               const Database* delta, size_t delta_position,
+  RuleExecutor(const CompiledRule& rule, std::vector<const Database*> sources,
                const PlannerOptions& planner)
       : rule_(rule),
-        db_(db),
-        delta_(delta),
-        delta_position_(delta_position),
+        sources_(std::move(sources)),
         planner_(planner),
         table_(SymbolTable::Global()),
         lit_index_(rule.body.size()),
@@ -433,9 +436,7 @@ class RuleExecutor {
     if (rule_.body.empty() || rule_.body[0].kind != Literal::Kind::kAtom) {
       return 0;
     }
-    const Database& source =
-        (delta_position_ == 0 && delta_ != nullptr) ? *delta_ : db_;
-    return SelectCandidates(rule_.body[0], 0, source).count;
+    return SelectCandidates(rule_.body[0], 0, *sources_[0]).count;
   }
 
   /// Ground instances of the rule's positive body atoms under the current
@@ -503,12 +504,9 @@ class RuleExecutor {
   void DescendStep(size_t index, Fn&& on_solution) {
     const CompiledLiteral& lit = rule_.body[index];
     switch (lit.kind) {
-      case Literal::Kind::kAtom: {
-        const Database& source =
-            (index == delta_position_ && delta_ != nullptr) ? *delta_ : db_;
-        EvalAtom(lit, source, index, on_solution);
+      case Literal::Kind::kAtom:
+        EvalAtom(lit, *sources_[index], index, on_solution);
         return;
-      }
       case Literal::Kind::kNegatedAtom: {
         // Pure id containment check: every ground term resolves to an id
         // (constants were interned at compile; a value nobody interned
@@ -528,7 +526,7 @@ class RuleExecutor {
           }
           ids[i] = TermId(t);
         }
-        Database::View v = db_.view(lit.atom.predicate);
+        Database::View v = sources_[index]->view(lit.atom.predicate);
         bool contained = v.valid() && v.arity() == n && v.ContainsIds(ids);
         if (!contained) Descend(index + 1, on_solution);
         return;
@@ -726,9 +724,7 @@ class RuleExecutor {
   };
 
   const CompiledRule& rule_;
-  const Database& db_;
-  const Database* delta_;
-  size_t delta_position_;
+  std::vector<const Database*> sources_;
   PlannerOptions planner_;
   SymbolTable& table_;
   std::vector<LitIndex> lit_index_;
@@ -742,6 +738,20 @@ class RuleExecutor {
 
 constexpr size_t kNoDelta = static_cast<size_t>(-1);
 constexpr size_t kFullRange = static_cast<size_t>(-1);
+
+/// Executor sources where every literal reads `db` except the atom at
+/// compiled position `delta_position` (kNoDelta: none), which ranges
+/// over `delta` — the semi-naive restriction.
+std::vector<const Database*> DeltaSources(const CompiledRule& rule,
+                                          const Database& db,
+                                          const Database* delta,
+                                          size_t delta_position) {
+  std::vector<const Database*> sources(rule.body.size(), &db);
+  if (delta != nullptr && delta_position < sources.size()) {
+    sources[delta_position] = delta;
+  }
+  return sources;
+}
 
 /// Derived head rows of one rule evaluation: a flat row-major id buffer
 /// (rule.head.terms.size() ids per row) plus an explicit row count — the
@@ -794,7 +804,8 @@ void EvaluateRule(
         nullptr,
     JoinWork* work = nullptr,
     std::vector<LiteralRuntime>* lit_stats = nullptr) {
-  RuleExecutor exec(rule, db, delta, delta_position, planner);
+  RuleExecutor exec(rule, DeltaSources(rule, db, delta, delta_position),
+                    planner);
   exec.set_lit_stats(lit_stats);
   exec.RestrictOuterRange(outer_begin, outer_end);
   exec.ForEachSolution([&](const BindingEnv& env) {
@@ -822,7 +833,7 @@ void EvaluateAggregateRule(const CompiledRule& rule, const Database& db,
   std::map<Tuple, GroupState> groups;
   const SymbolTable& table = SymbolTable::Global();
 
-  RuleExecutor exec(rule, db, nullptr, kNoDelta, planner);
+  RuleExecutor exec(rule, DeltaSources(rule, db, nullptr, kNoDelta), planner);
   exec.set_lit_stats(lit_stats);
   exec.ForEachSolution([&](const BindingEnv& env) {
     std::vector<Value> key;
@@ -1057,8 +1068,70 @@ Status Evaluator::RunIncrement(Database* db, const Database& delta,
     next_delta = std::move(produced);
     current = &next_delta;
     if (iter + 1 == options_.max_iterations && current->TotalFacts() != 0) {
-      return Status::Internal("incremental evaluation exceeded max_iterations");
+      return Status::ResourceExhausted(
+          "incremental evaluation exceeded max_iterations");
     }
+  }
+  return Status::OK();
+}
+
+Status Evaluator::Sweep(size_t rule_index,
+                        const std::vector<const Database*>& atom_sources,
+                        size_t lead, const Database& plan_db,
+                        EvalStats* stats, const HeadSink& emit) const {
+  if (!prepared_) {
+    return Status::FailedPrecondition("Evaluator::Prepare() was not called");
+  }
+  if (rule_index >= program_.rules.size()) {
+    return Status::InvalidArgument("Sweep rule index out of range");
+  }
+  const Rule& rule = program_.rules[rule_index];
+  if (rule.HasAggregates() ||
+      std::any_of(rule.body.begin(), rule.body.end(), [](const Literal& l) {
+        return l.kind == Literal::Kind::kNegatedAtom;
+      })) {
+    return Status::FailedPrecondition(
+        "Sweep does not evaluate negation or aggregates: " + rule.ToString());
+  }
+  // Declared body index <-> positive-atom occurrence number.
+  std::vector<size_t> occurrence(rule.body.size());
+  std::vector<size_t> atom_body_index;
+  for (size_t i = 0; i < rule.body.size(); ++i) {
+    if (rule.body[i].kind != Literal::Kind::kAtom) continue;
+    occurrence[i] = atom_body_index.size();
+    atom_body_index.push_back(i);
+  }
+  if (atom_sources.size() != atom_body_index.size() ||
+      std::count(atom_sources.begin(), atom_sources.end(), nullptr) > 0 ||
+      (lead != kNoLead && lead >= atom_body_index.size())) {
+    return Status::InvalidArgument(
+        "Sweep needs one source per positive body atom and a valid lead: " +
+        rule.ToString());
+  }
+
+  const std::set<std::string> no_recursion;
+  RuleCompiler compiler(no_recursion, &plan_db, options_.planner);
+  CompiledRule compiled = compiler.Compile(
+      rule, lead == kNoLead ? kNoLead : atom_body_index[lead]);
+  std::vector<const Database*> sources(compiled.body.size(), &plan_db);
+  for (size_t i = 0; i < compiled.body.size(); ++i) {
+    const CompiledLiteral& lit = compiled.body[i];
+    if (lit.kind == Literal::Kind::kAtom) {
+      sources[i] = atom_sources[occurrence[lit.body_index]];
+    }
+  }
+  RuleExecutor exec(compiled, std::move(sources), options_.planner);
+  std::vector<SymbolId> head(compiled.head.terms.size());
+  exec.ForEachSolution([&](const BindingEnv& env) {
+    for (size_t i = 0; i < head.size(); ++i) {
+      const CompiledTerm& t = compiled.head.terms[i];
+      head[i] = t.is_var ? env.id(t.slot) : t.const_id;
+    }
+    emit(head.data());
+  });
+  if (stats != nullptr) {
+    ++stats->rule_applications;
+    exec.work().MergeInto(stats);
   }
   return Status::OK();
 }
@@ -1233,7 +1306,8 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
         }
         if (!any_new) break;
         if (iter + 1 == options_.max_iterations) {
-          return Status::Internal("naive evaluation exceeded max_iterations");
+          return Status::ResourceExhausted(
+              "naive evaluation exceeded max_iterations");
         }
       }
       continue;
@@ -1280,7 +1354,8 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
         // The planning executor shares EvalAtom's candidate selection, so
         // any index it builds is the one execution will probe; credit the
         // build to this rule's stats.
-        RuleExecutor probe(rule, *db, delta, delta_position, options_.planner);
+        RuleExecutor probe(rule, DeltaSources(rule, *db, delta, delta_position),
+                           options_.planner);
         count = probe.OuterCandidateCount();
         st->index_builds += probe.work().index_builds;
         if (count >= options_.parallel_chunk_threshold) {
@@ -1377,7 +1452,8 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
       merge_tasks(&tasks, &next_delta);
       delta = std::move(next_delta);
       if (iter + 1 == options_.max_iterations && delta.TotalFacts() != 0) {
-        return Status::Internal("semi-naive evaluation exceeded max_iterations");
+        return Status::ResourceExhausted(
+            "semi-naive evaluation exceeded max_iterations");
       }
     }
   }

@@ -1,6 +1,7 @@
 #ifndef VADA_DATALOG_EVALUATOR_H_
 #define VADA_DATALOG_EVALUATOR_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -26,8 +27,10 @@ struct EvalOptions {
   /// results are merged in rule order, which is what makes parallel and
   /// sequential evaluation bit-identical (DESIGN.md §5e).
   bool semi_naive = true;
-  /// Hard cap on fixpoint iterations per stratum (safety valve; Datalog
-  /// always terminates, so hitting this indicates an engine bug).
+  /// Hard cap on fixpoint iterations per stratum. Pure Datalog always
+  /// terminates, but an assignment doing arithmetic invents values, so
+  /// `n(0). n(Y) :- n(X), Y = X + 1.` recurses forever; hitting the cap
+  /// fails the run with kResourceExhausted.
   size_t max_iterations = 1000000;
   /// When set, Run() additionally records vada_datalog_* metrics
   /// (rules fired, facts derived, join probes, per-stratum time) into
@@ -112,6 +115,22 @@ class Evaluator {
   Status RunIncrement(Database* db, const Database& delta,
                       EvalStats* stats = nullptr, Database* added = nullptr);
 
+  /// Counting-sweep entry point (DESIGN.md §5k). Evaluates rule
+  /// `rule_index` of this program once, read-only, with its i-th positive
+  /// body atom (declared order) ranging over `atom_sources[i]`, and calls
+  /// `emit(head_ids)` once per body solution — repeated heads included,
+  /// so callers can count derivations. The body is planned against
+  /// `plan_db` as Run() would plan it, except that atom `lead` (kNoLead:
+  /// none) is placed before the other atoms. Adds one rule application
+  /// and the join work to
+  /// `stats`. kFailedPrecondition for rules with negation or aggregates;
+  /// kInvalidArgument for a bad index, lead or source list.
+  using HeadSink = std::function<void(const SymbolId* head_ids)>;
+  Status Sweep(size_t rule_index,
+               const std::vector<const Database*>& atom_sources, size_t lead,
+               const Database& plan_db, EvalStats* stats,
+               const HeadSink& emit) const;
+
   /// EXPLAIN / EXPLAIN ANALYZE (DESIGN.md §5g). With `analyze == false`,
   /// compiles every stratum's join plans against `db` as-is and fills
   /// `*out` without evaluating anything — `db` is not mutated, and the
@@ -147,11 +166,6 @@ Result<std::vector<Tuple>> Query(const Program& program, Database* db,
 /// Three-way comparison with int/double coercion: -1, 0, 1, or nullopt
 /// when the values are of different, non-numeric types.
 std::optional<int> CompareValues(const Value& a, const Value& b);
-
-/// Truth of `a op b` under CompareValues semantics (incomparable values
-/// satisfy only `!=`) — the comparison-literal semantics, shared with
-/// the differential evaluator's sweep executor.
-bool EvalCompare(CompareOp op, const Value& a, const Value& b);
 
 /// Applies `op`; int op int stays int (except division, always double).
 /// nullopt on non-numeric operands or division by zero.

@@ -273,12 +273,14 @@ void WranglingSession::PublishKbGauges() const {
       ->Set(static_cast<int64_t>(kb_.facts_added()));
   m->GetGauge("vada_kb_facts_removed", "Lifetime facts removed from the KB")
       ->Set(static_cast<int64_t>(kb_.facts_removed()));
-  // Persistent composite join indexes live only on the snapshot-cache
-  // databases (per-evaluation scratch copies die with their run), so
-  // the cache is the whole story for index memory. 0 when the cache is
-  // off or nothing has been indexed yet.
-  size_t index_bytes =
-      snapshot_cache_ == nullptr ? 0 : snapshot_cache_->ApproxIndexBytes();
+  // Persistent composite join indexes live only on cached snapshot
+  // databases (per-evaluation scratch copies die with their run): the
+  // mapping-source cache, which the default path always uses, plus the
+  // optional dependency-scan cache.
+  size_t index_bytes = state_->mapping_source_cache.ApproxIndexBytes();
+  if (snapshot_cache_ != nullptr) {
+    index_bytes += snapshot_cache_->ApproxIndexBytes();
+  }
   m->GetGauge("vada_index_bytes",
               "Approximate resident bytes of composite join indexes on "
               "cached relation snapshots")

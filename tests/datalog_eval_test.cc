@@ -201,6 +201,19 @@ TEST_P(EvalModeTest, ZeroArityPredicates) {
   EXPECT_EQ(result.size(), 1u);
 }
 
+// Arithmetic invents values, so this passes lint yet never reaches a
+// fixpoint: the iteration cap is a resource limit, not an engine bug.
+TEST_P(EvalModeTest, ArithmeticRecursionExhaustsMaxIterations) {
+  EvalOptions opts;
+  opts.semi_naive = semi_naive();
+  opts.max_iterations = 20;
+  Evaluator eval(MustParse("n(0). n(Y) :- n(X), Y = X + 1."), opts);
+  ASSERT_TRUE(eval.Prepare().ok());
+  Database db;
+  Status s = eval.Run(&db);
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+}
+
 TEST(EvalTest, StatsArePopulated) {
   Database db;
   for (int i = 1; i < 20; ++i) {

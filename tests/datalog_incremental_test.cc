@@ -1,8 +1,9 @@
 // Unit tests for the differential-maintenance building blocks
 // (DESIGN.md §5k): DeltaLog answerability and netting, the KB mutator
 // hooks that feed it, Evaluator::RunIncrement's monotone continuation,
-// and the DifferentialEvaluator's strategy selection / EXPLAIN surface
-// / join-work advantage. The incremental-vs-full equivalence itself is
+// Evaluator::Sweep (the counting-sweep entry point), and the
+// DifferentialEvaluator's strategy selection / EXPLAIN surface /
+// join-work advantage. The incremental-vs-full equivalence itself is
 // fuzzed at scale in datalog_differential_test.cc.
 #include <algorithm>
 #include <map>
@@ -202,6 +203,22 @@ TEST(RunIncrementTest, ContinuesTransitiveClosureFromAnInsertion) {
   EXPECT_LT(inc_work, oracle_work);
 }
 
+TEST(RunIncrementTest, ArithmeticRecursionExhaustsMaxIterations) {
+  Result<Program> program = Parser::Parse("n(0). n(Y) :- n(X), Y = X + 1.\n");
+  ASSERT_TRUE(program.ok());
+  EvalOptions opts;
+  opts.max_iterations = 20;
+  Evaluator eval(program.value(), opts);
+  ASSERT_TRUE(eval.Prepare().ok());
+  // The fact n(0) arrives as the insertion the continuation starts from.
+  Database db;
+  Database delta;
+  db.Insert("n", Tuple({Value::Int(0)}));
+  delta.Insert("n", Tuple({Value::Int(0)}));
+  Status s = eval.RunIncrement(&db, delta);
+  EXPECT_EQ(s.code(), StatusCode::kResourceExhausted) << s.ToString();
+}
+
 TEST(RunIncrementTest, RejectsNegationAndAggregates) {
   Database db;
   Database delta;
@@ -222,6 +239,44 @@ TEST(RunIncrementTest, RejectsNegationAndAggregates) {
     EXPECT_EQ(eval.RunIncrement(&db, delta).code(),
               StatusCode::kFailedPrecondition);
   }
+}
+
+// ---------------------------------------------------------------------
+// Evaluator::Sweep
+// ---------------------------------------------------------------------
+
+TEST(SweepTest, CountsEverySolutionAndRejectsBadArguments) {
+  Result<Program> program = Parser::Parse(
+      "p(X) :- e(X, Y), e(Y, Z).\n"
+      "q(X) :- e(X, Y), not e(Y, X).\n");
+  ASSERT_TRUE(program.ok());
+  Evaluator eval(program.value());
+  ASSERT_TRUE(eval.Prepare().ok());
+  Database db;
+  for (const Tuple& t : {Pair(1, 2), Pair(2, 3), Pair(2, 4)}) {
+    db.Insert("e", t);
+  }
+  // Repeated heads are emitted, not deduplicated: p(1) has two
+  // derivations (1-2-3, 1-2-4).
+  std::vector<SymbolId> heads;
+  auto collect = [&](const SymbolId* head) { heads.push_back(head[0]); };
+  EvalStats stats;
+  ASSERT_TRUE(eval.Sweep(0, {&db, &db}, kNoLead, db, &stats, collect).ok());
+  const SymbolId one = SymbolTable::Global().Intern(Value::Int(1));
+  EXPECT_EQ(heads, std::vector<SymbolId>({one, one}));
+  EXPECT_EQ(stats.rule_applications, 1u);
+
+  EXPECT_EQ(eval.Sweep(1, {&db}, kNoLead, db, nullptr, collect).code(),
+            StatusCode::kFailedPrecondition);  // negation
+  EXPECT_EQ(eval.Sweep(2, {&db}, kNoLead, db, nullptr, collect).code(),
+            StatusCode::kInvalidArgument);  // no such rule
+  EXPECT_EQ(eval.Sweep(0, {&db}, kNoLead, db, nullptr, collect).code(),
+            StatusCode::kInvalidArgument);  // one source for two atoms
+  EXPECT_EQ(eval.Sweep(0, {&db, nullptr}, kNoLead, db, nullptr, collect)
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(eval.Sweep(0, {&db, &db}, 2, db, nullptr, collect).code(),
+            StatusCode::kInvalidArgument);  // lead past the last atom
 }
 
 // ---------------------------------------------------------------------
@@ -316,6 +371,91 @@ TEST(DifferentialEvaluatorTest, SmallDeltaDoesFarLessJoinWorkThanFullRun) {
   // The unit-level floor; bench_incremental gates the full 10x stream.
   EXPECT_LT(delta_work * 10, full_work)
       << "delta=" << delta_work << " full=" << full_work;
+}
+
+std::vector<Tuple> SortedFacts(const Database& db, const std::string& pred) {
+  std::vector<Tuple> out = db.facts(pred);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// A counting sweep over a self-join reads the same predicate twice. The
+// occurrences left of the delta'd one must see the updated store and
+// those right of it the pre-batch snapshot; reading the updated store
+// everywhere miscounts derivations that pair an inserted row with a
+// retracted one.
+TEST(DifferentialEvaluatorTest, SelfJoinMixedBatchMatchesFromScratch) {
+  Result<Program> program = Parser::Parse("p(X, Z) :- e(X, Y), e(Y, Z).\n");
+  ASSERT_TRUE(program.ok());
+  // p(1, 3) has one derivation (1-5-3) before and after the batch; the
+  // batch adds e(1, 2) and drops e(2, 3), so the path 1-2-3 never
+  // exists. Row (8, 9) is inserted and retracted in one go.
+  Database edb;
+  for (const Tuple& t : {Pair(1, 5), Pair(5, 3), Pair(2, 3), Pair(3, 4),
+                         Pair(4, 6), Pair(6, 2)}) {
+    edb.Insert("e", t);
+  }
+  DifferentialOptions opts;
+  opts.max_delta_fraction = 1e9;
+  DifferentialEvaluator diff(program.value(), opts);
+  ASSERT_TRUE(diff.Prepare().ok());
+  ASSERT_TRUE(diff.Initialize(edb).ok());
+
+  RelationDelta batch;
+  batch["e"].inserts = {Pair(1, 2), Pair(2, 7), Pair(7, 1), Pair(8, 9)};
+  batch["e"].retracts = {Pair(2, 3), Pair(4, 6), Pair(8, 9)};
+  ASSERT_TRUE(diff.ApplyDelta(batch).ok());
+  EXPECT_NE(diff.last_plan().find("{p}=counting"), std::string::npos)
+      << diff.last_plan();
+
+  Database scratch;
+  for (const Tuple& t : {Pair(1, 5), Pair(5, 3), Pair(3, 4), Pair(6, 2),
+                         Pair(1, 2), Pair(2, 7), Pair(7, 1)}) {
+    scratch.Insert("e", t);
+  }
+  Evaluator oracle(program.value());
+  ASSERT_TRUE(oracle.Prepare().ok());
+  ASSERT_TRUE(oracle.Run(&scratch).ok());
+  EXPECT_EQ(SortedFacts(diff.database(), "p"), SortedFacts(scratch, "p"));
+  EXPECT_TRUE(diff.database().Contains("p", Pair(1, 3)));
+}
+
+// The I1 mapping join (EXPERIMENTS.md I1) in both declared orders: a
+// one-row `listing` insert must drive its sweep from the delta row, not
+// from a scan of the 401-row `crime` relation the cost-based stratum
+// order would put first.
+TEST(DifferentialEvaluatorTest, SweepStartsFromTheDeltaInEitherBodyOrder) {
+  for (const char* text :
+       {"result(N, P, C) :- listing(Id, N, P), crime(N, C).\n",
+        "result(N, P, C) :- crime(N, C), listing(Id, N, P).\n"}) {
+    SCOPED_TRACE(text);
+    Result<Program> program = Parser::Parse(text);
+    ASSERT_TRUE(program.ok());
+    Rng rng(7);
+    Database edb;
+    for (int i = 0; i < 2000; ++i) {
+      edb.Insert("listing", Tuple({Value::Int(i),
+                                   Value::Int(rng.UniformInt(0, 400)),
+                                   Value::Int(rng.UniformInt(50, 900))}));
+    }
+    for (int n = 0; n <= 400; ++n) {
+      edb.Insert("crime", Pair(n, static_cast<int>(rng.UniformInt(1, 10))));
+    }
+    DifferentialEvaluator diff(program.value());
+    ASSERT_TRUE(diff.Prepare().ok());
+    ASSERT_TRUE(diff.Initialize(edb).ok());
+
+    RelationDelta one;
+    one["listing"].inserts.push_back(
+        Tuple({Value::Int(1000000), Value::Int(17), Value::Int(500)}));
+    DeltaStats apply;
+    ASSERT_TRUE(diff.ApplyDelta(one, &apply).ok());
+    EXPECT_NE(diff.last_plan().find("{result}=counting"), std::string::npos)
+        << diff.last_plan();
+    const size_t work = apply.eval.join_probes + apply.eval.index_probes +
+                        apply.eval.index_candidates;
+    EXPECT_LE(work, 4u);
+  }
 }
 
 TEST(DifferentialEvaluatorTest, BaseFactsOfIdbPredicatesAreMaintained) {

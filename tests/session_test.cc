@@ -280,6 +280,28 @@ TEST_F(SessionTest, MetricsReportExposesOrchestrationMetrics) {
   }
 }
 
+// vada_index_bytes covers every persistent composite join index: the
+// mapping-source cache the default path always uses, plus the optional
+// dependency-scan cache.
+TEST_F(SessionTest, IndexBytesGaugeCountsMappingSourceIndexes) {
+  for (bool scan_cache : {false, true}) {
+    SCOPED_TRACE(scan_cache ? "snapshot_cache on" : "snapshot_cache off");
+    WranglerConfig config;
+    config.parallelism.snapshot_cache = scan_cache;
+    WranglingSession session(config);
+    ASSERT_TRUE(Bootstrap(&session).ok());
+    ASSERT_TRUE(session.Run().ok());
+    const double gauge =
+        session.MetricsReport().snapshot.Value("vada_index_bytes");
+    size_t caches = session.state().mapping_source_cache.ApproxIndexBytes();
+    if (session.snapshot_cache() != nullptr) {
+      caches += session.snapshot_cache()->ApproxIndexBytes();
+    }
+    EXPECT_GT(gauge, 0.0);
+    EXPECT_DOUBLE_EQ(gauge, static_cast<double>(caches));
+  }
+}
+
 TEST_F(SessionTest, MetricsReportRendersBothExportFormats) {
   WranglingSession session;
   ASSERT_TRUE(Bootstrap(&session).ok());
