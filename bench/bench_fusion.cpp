@@ -6,6 +6,12 @@
 // Expected shape: dedup recall/precision stay high across overlap rates;
 // fused size tracks |union of distinct properties|; conflicts resolved
 // and nulls filled grow with overlap.
+//
+// Also a correctness gate for the bound-pruned scorer: at every overlap
+// FindDuplicates must equal an exhaustive within-block sweep of
+// RecordSimilarity (same pairs, same order, identical doubles); the bench
+// exits non-zero otherwise. Writes BENCH_fusion.json (pairs considered,
+// pruned and matched, and ms, per overlap).
 #include <map>
 #include <set>
 
@@ -66,6 +72,43 @@ Combined CombinePortals(const GroundTruth& truth, double overlap,
   return out;
 }
 
+/// Every within-block pair (postcode blocks in key order, pairs in row
+/// order) whose unpruned RecordSimilarity reaches the threshold.
+std::vector<DuplicatePair> ExhaustiveSweep(const Relation& rel,
+                                           const DedupOptions& opts) {
+  DuplicateDetector detector(opts);
+  const size_t key = *rel.schema().AttributeIndex("postcode");
+  std::map<std::string, std::vector<size_t>> blocks;
+  for (size_t r = 0; r < rel.size(); ++r) {
+    const Value& v = rel.rows()[r].at(key);
+    if (!v.is_null()) blocks[v.ToString() + '\x1f'].push_back(r);
+  }
+  std::vector<DuplicatePair> out;
+  for (const auto& [k, rows] : blocks) {
+    for (size_t i = 0; i < rows.size(); ++i) {
+      for (size_t j = i + 1; j < rows.size(); ++j) {
+        double sim = detector.RecordSimilarity(rel, rows[i], rows[j]);
+        if (sim >= opts.threshold) {
+          out.push_back(DuplicatePair{rows[i], rows[j], sim});
+        }
+      }
+    }
+  }
+  return out;
+}
+
+bool SamePairs(const std::vector<DuplicatePair>& a,
+               const std::vector<DuplicatePair>& b) {
+  if (a.size() != b.size()) return false;
+  for (size_t i = 0; i < a.size(); ++i) {
+    if (a[i].row_a != b[i].row_a || a[i].row_b != b[i].row_b ||
+        a[i].similarity != b[i].similarity) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
 int main() {
@@ -79,8 +122,11 @@ int main() {
   uopts.seed = 404;
   GroundTruth truth = GeneratePropertyUniverse(uopts);
 
-  Table table({"overlap", "input rows", "clusters", "pair precision",
-               "pair recall", "nulls filled", "ms"});
+  Table table({"overlap", "input rows", "pairs considered", "pruned",
+               "matched", "clusters", "pair precision", "pair recall",
+               "nulls filled", "ms"});
+  BenchReport report("fusion");
+  bool all_exact = true;
   for (double overlap : {0.0, 0.25, 0.5, 0.75}) {
     Combined combined = CombinePortals(truth, overlap, 50);
     DedupOptions opts;
@@ -90,13 +136,21 @@ int main() {
 
     Result<std::vector<DuplicatePair>> pairs(std::vector<DuplicatePair>{});
     Result<DuplicateClusters> clusters(DuplicateClusters{});
+    DedupStats dedup;
     double ms = TimeMs([&] {
-      pairs = detector.FindDuplicates(combined.rel);
+      pairs = detector.FindDuplicates(combined.rel, &dedup);
       clusters = detector.Cluster(combined.rel);
     });
     if (!pairs.ok() || !clusters.ok()) {
       std::fprintf(stderr, "dedup failed\n");
-      continue;
+      return 1;
+    }
+    if (!SamePairs(pairs.value(), ExhaustiveSweep(combined.rel, opts))) {
+      std::fprintf(stderr,
+                   "overlap %.2f: FindDuplicates disagrees with the "
+                   "exhaustive RecordSimilarity sweep\n",
+                   overlap);
+      all_exact = false;
     }
 
     // Score pairs against truth ids.
@@ -125,11 +179,26 @@ int main() {
     if (!fused.ok()) continue;
 
     table.AddRow({Fmt(overlap, 2), std::to_string(combined.rel.size()),
+                  std::to_string(dedup.pairs_considered),
+                  std::to_string(dedup.pairs_pruned),
+                  std::to_string(dedup.pairs_matched),
                   std::to_string(clusters.value().num_clusters),
                   Fmt(precision), Fmt(recall),
                   std::to_string(stats.nulls_filled), Fmt(ms, 1)});
+    const std::string prefix = "overlap_" + Fmt(overlap, 2) + ".";
+    report.Add(prefix + "pairs_considered",
+               static_cast<double>(dedup.pairs_considered));
+    report.Add(prefix + "pairs_pruned",
+               static_cast<double>(dedup.pairs_pruned));
+    report.Add(prefix + "pairs_matched",
+               static_cast<double>(dedup.pairs_matched));
+    report.Add(prefix + "pair_precision", precision);
+    report.Add(prefix + "pair_recall", recall);
+    report.Add(prefix + "ms", ms);
   }
   table.Print();
+  report.Add("exact", all_exact ? 1.0 : 0.0);
+  report.WriteJson();
   std::printf(
       "\nexpected shape: at overlap 0.00 no true duplicate exists, so\n"
       "precision is vacuously 0 over a handful of twin-property false\n"
@@ -139,5 +208,9 @@ int main() {
       "key; bedroom-area corruption lowers similarity) and never rises\n"
       "with overlap, while nulls filled grows with overlap as fusion\n"
       "recovers values across portals.\n");
+  if (!all_exact) {
+    std::fprintf(stderr, "FAIL: pruned duplicate detection is not exact\n");
+    return 1;
+  }
   return 0;
 }

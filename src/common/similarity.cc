@@ -1,6 +1,7 @@
 #include "common/similarity.h"
 
 #include <algorithm>
+#include <memory>
 #include <set>
 
 namespace vada {
@@ -36,8 +37,20 @@ double JaroSimilarity(std::string_view a, std::string_view b) {
   const int n = static_cast<int>(a.size());
   const int m = static_cast<int>(b.size());
   const int window = std::max(0, std::max(n, m) / 2 - 1);
-  std::vector<bool> a_matched(n, false);
-  std::vector<bool> b_matched(m, false);
+  // Match flags for both strings, on the stack for the short strings the
+  // hot callers pass (duplicate detection only sends strings under 16
+  // chars, schema matching attribute names); longer inputs use the heap.
+  constexpr int kStackFlags = 128;
+  bool stack_flags[kStackFlags];
+  std::unique_ptr<bool[]> heap_flags;
+  bool* a_matched = stack_flags;
+  if (n + m <= kStackFlags) {
+    std::fill(stack_flags, stack_flags + n + m, false);
+  } else {
+    heap_flags = std::make_unique<bool[]>(static_cast<size_t>(n) + m);
+    a_matched = heap_flags.get();
+  }
+  bool* b_matched = a_matched + n;
   int matches = 0;
   for (int i = 0; i < n; ++i) {
     int lo = std::max(0, i - window);

@@ -2,170 +2,248 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <numeric>
+#include <optional>
+#include <string_view>
+#include <unordered_map>
 
 #include "common/similarity.h"
-#include "common/strings.h"
 
 namespace vada {
 
 namespace {
 
-double ValueSimilarity(const Value& a, const Value& b) {
-  if (a.is_null() || b.is_null()) return 0.0;
-  if (a == b) return 1.0;
-  std::optional<double> da = a.AsDouble();
-  std::optional<double> db = b.AsDouble();
-  if (da.has_value() && db.has_value()) {
-    // Numbers only count as similar within a tight relative band (5%):
-    // two different properties' prices must not read as near-duplicates.
-    double scale = std::max({std::fabs(*da), std::fabs(*db), 1e-9});
-    double banded = std::fabs(*da - *db) / (0.05 * scale);
-    return banded >= 1.0 ? 0.0 : 1.0 - banded;
-  }
-  if (a.type() == ValueType::kString && b.type() == ValueType::kString) {
-    const std::string& sa = a.string_value();
-    const std::string& sb = b.string_value();
-    // Long strings (descriptions) share templates; character similarity
-    // over-scores them, so compare word sets instead.
-    if (sa.size() >= 16 || sb.size() >= 16) {
-      std::vector<std::string> ta;
-      std::vector<std::string> tb;
-      for (const std::string& w : Split(sa, ' ')) {
-        if (!w.empty()) ta.push_back(w);
-      }
-      for (const std::string& w : Split(sb, ' ')) {
-        if (!w.empty()) tb.push_back(w);
-      }
-      return TokenJaccard(ta, tb);
-    }
-    return JaroWinklerSimilarity(sa, sb);
-  }
-  return 0.0;
-}
+/// Strings at least this long are compared as word sets: long strings
+/// (descriptions) share templates, and character similarity over-scores
+/// them.
+constexpr size_t kLongString = 16;
 
-/// Per-pair similarity over precomputed row features. FindDuplicates
-/// compares every row of a block against every other, so anything
-/// derivable from one row alone — numeric coercion, long-string token
-/// sets — is computed once per row here instead of once per pair
-/// (tokenizing per pair dominated the fusion transducer's profile).
-/// Scores are exactly RecordSimilarity's: same branches, same math.
+/// Relative slack in the pruning bound; see PairScorer::Score.
+constexpr double kBoundSlack = 1e-9;
+
+/// Record-pair scoring over per-row features. FindDuplicates compares
+/// every row of a block against every other, so anything derivable from
+/// one row alone (numeric coercion, word sets) is computed at most once
+/// per row, not once per pair.
+///
+/// A pair's score is the mean of its cell scores over the attributes
+/// where both rows are non-null; every cell score lies in [0, 1]. Null,
+/// equal, numeric and mismatched-type cells cost next to nothing; cells
+/// holding two different strings (token Jaccard when either side is long,
+/// else Jaro-Winkler) are deferred. Counting each deferred cell as 1
+/// bounds the sum from above, so a pair whose bound falls below the
+/// threshold is dropped without scoring the rest of its strings
+/// (DESIGN.md §5m). A pair that survives has every cell scored and summed
+/// in attribute order, so its score is bit-for-bit the unpruned one.
 class PairScorer {
  public:
-  PairScorer(const Relation& rel, const std::vector<size_t>& indexes,
-             size_t required)
-      : indexes_(indexes), required_(required) {
-    features_.resize(rel.size() * indexes.size());
-    for (size_t r = 0; r < rel.size(); ++r) {
-      const Tuple& row = rel.rows()[r];
-      for (size_t k = 0; k < indexes.size(); ++k) {
-        CellFeature& f = features_[r * indexes.size() + k];
-        const Value& v = row.at(indexes[k]);
-        f.value = &v;
-        f.is_null = v.is_null();
-        if (f.is_null) continue;
-        f.num = v.AsDouble();
-        if (v.type() == ValueType::kString) {
-          f.str = &v.string_value();
-          if (f.str->size() >= 16) {
-            f.long_string = true;
-            // Sorted unique tokens: TokenJaccard's set semantics,
-            // realized as a linear merge at compare time.
-            for (const std::string& w : Split(*f.str, ' ')) {
-              if (!w.empty()) f.tokens.push_back(w);
-            }
-            std::sort(f.tokens.begin(), f.tokens.end());
-            f.tokens.erase(std::unique(f.tokens.begin(), f.tokens.end()),
-                           f.tokens.end());
-          }
-        }
+  PairScorer(std::vector<size_t> indexes, size_t required)
+      : indexes_(std::move(indexes)),
+        required_(required),
+        cell_scores_(indexes_.size()) {}
+
+  void Reserve(size_t rows) { cells_.reserve(rows * indexes_.size()); }
+
+  /// Adds `row`'s features as the next slot (slots count from 0).
+  void AddRow(const Tuple& row) {
+    for (size_t index : indexes_) {
+      const Value& v = row.at(index);
+      Cell& cell = cells_.emplace_back();
+      switch (v.type()) {
+        case ValueType::kNull:
+          break;
+        case ValueType::kBool:
+          cell.kind = Kind::kBool;
+          cell.num = v.bool_value() ? 1.0 : 0.0;
+          break;
+        case ValueType::kInt:
+        case ValueType::kDouble:
+          cell.kind = Kind::kNumber;
+          cell.num = *v.AsDouble();
+          break;
+        case ValueType::kString:
+          cell.kind = Kind::kString;
+          cell.str = v.string_value();
+          break;
       }
     }
   }
 
-  double Score(size_t row_a, size_t row_b) const {
-    const CellFeature* fa = &features_[row_a * indexes_.size()];
-    const CellFeature* fb = &features_[row_b * indexes_.size()];
-    double sum = 0.0;
+  /// The pair's similarity, or nullopt when it is provably below
+  /// `threshold` (pass -infinity for the exact score of any pair).
+  std::optional<double> Score(size_t slot_a, size_t slot_b, double threshold) {
+    const size_t width = indexes_.size();
+    Cell* a = &cells_[slot_a * width];
+    Cell* b = &cells_[slot_b * width];
+    double known = 0.0;  // sum of the cells scored so far, in any order
     size_t counted = 0;
-    for (size_t k = 0; k < indexes_.size(); ++k) {
-      const CellFeature& a = fa[k];
-      const CellFeature& b = fb[k];
-      if (a.is_null || b.is_null) continue;
-      sum += CellSimilarity(a, b);
+    deferred_words_.clear();
+    deferred_chars_.clear();
+    for (size_t k = 0; k < width; ++k) {
+      // A null on either side is absence of evidence, not disagreement —
+      // a portal that omitted the crime rank must not veto a duplicate.
+      if (a[k].kind == Kind::kNull || b[k].kind == Kind::kNull) continue;
       ++counted;
+      double score = FreeCellScore(a[k], b[k]);
+      if (score != kDeferred) {
+        cell_scores_[k] = score;
+        known += score;
+      } else if (a[k].str.size() >= kLongString ||
+                 b[k].str.size() >= kLongString) {
+        deferred_words_.push_back(k);
+      } else {
+        deferred_chars_.push_back(k);
+      }
     }
-    if (counted < required_ || counted == 0) return 0.0;
+    if (counted < required_ || counted == 0) {
+      if (0.0 >= threshold) return 0.0;
+      return std::nullopt;
+    }
+    // Score deferred cells, word-set merges first (they are cheaper than
+    // Jaro-Winkler), while even a perfect score on every pending cell
+    // would reach threshold * counted. `known` adds cells in another
+    // order than the final sum below; the slack covers that rounding
+    // difference (a few ulps of `counted`), so only pairs whose exact
+    // score is below the threshold are dropped.
+    const double floor =
+        (threshold - kBoundSlack) * static_cast<double>(counted);
+    size_t pending = deferred_words_.size() + deferred_chars_.size();
+    for (size_t k : deferred_words_) {
+      if (known + static_cast<double>(pending) < floor) return std::nullopt;
+      cell_scores_[k] = WordSetJaccard(&a[k], &b[k]);
+      known += cell_scores_[k];
+      --pending;
+    }
+    for (size_t k : deferred_chars_) {
+      if (known + static_cast<double>(pending) < floor) return std::nullopt;
+      cell_scores_[k] = JaroWinklerSimilarity(a[k].str, b[k].str);
+      known += cell_scores_[k];
+      --pending;
+    }
+    double sum = 0.0;
+    for (size_t k = 0; k < width; ++k) {
+      if (a[k].kind == Kind::kNull || b[k].kind == Kind::kNull) continue;
+      sum += cell_scores_[k];
+    }
     return sum / static_cast<double>(counted);
   }
 
  private:
-  struct CellFeature {
-    const Value* value = nullptr;
-    const std::string* str = nullptr;
-    bool is_null = true;
-    bool long_string = false;
-    std::optional<double> num;
-    std::vector<std::string> tokens;  // sorted unique (long strings)
+  enum class Kind : uint8_t { kNull, kBool, kNumber, kString };
+
+  static constexpr double kDeferred = -1.0;
+  static constexpr uint32_t kNotTokenized = UINT32_MAX;
+
+  struct Cell {
+    std::string_view str;       // kString
+    double num = 0.0;           // kNumber: the value; kBool: 0 or 1
+    uint32_t words_begin = 0;   // kString, once tokenized: sorted unique
+    uint32_t words_size = kNotTokenized;  // word ids in words_[begin, +size)
+    Kind kind = Kind::kNull;
   };
 
-  static double CellSimilarity(const CellFeature& a, const CellFeature& b) {
-    if (*a.value == *b.value) return 1.0;
-    if (a.num.has_value() && b.num.has_value()) {
-      double scale = std::max({std::fabs(*a.num), std::fabs(*b.num), 1e-9});
-      double banded = std::fabs(*a.num - *b.num) / (0.05 * scale);
-      return banded >= 1.0 ? 0.0 : 1.0 - banded;
+  /// Score of a non-null cell pair, or kDeferred for two different
+  /// strings (which need a string comparison).
+  static double FreeCellScore(const Cell& a, const Cell& b) {
+    if (a.kind != b.kind) return 0.0;  // mismatched types never agree
+    switch (a.kind) {
+      case Kind::kString:
+        return a.str == b.str ? 1.0 : kDeferred;
+      case Kind::kBool:
+        return a.num == b.num ? 1.0 : 0.0;
+      default:
+        break;
     }
-    if (a.str != nullptr && b.str != nullptr) {
-      if (a.long_string || b.long_string) {
-        return SortedTokenJaccard(a.long_string ? a.tokens : Tokenize(*a.str),
-                                  b.long_string ? b.tokens : Tokenize(*b.str));
-      }
-      return JaroWinklerSimilarity(*a.str, *b.str);
-    }
-    return 0.0;
+    // Equal numbers score 1 (int 3 and double 3.0 included), also the
+    // infinities, which the band below would turn into NaN.
+    if (a.num == b.num) return 1.0;
+    // Numbers only count as similar within a tight relative band (5%):
+    // two different properties' prices must not read as near-duplicates.
+    double scale = std::max({std::fabs(a.num), std::fabs(b.num), 1e-9});
+    double banded = std::fabs(a.num - b.num) / (0.05 * scale);
+    return banded >= 1.0 ? 0.0 : 1.0 - banded;
   }
 
-  static std::vector<std::string> Tokenize(const std::string& s) {
-    std::vector<std::string> tokens;
-    for (const std::string& w : Split(s, ' ')) {
-      if (!w.empty()) tokens.push_back(w);
-    }
-    std::sort(tokens.begin(), tokens.end());
-    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-    return tokens;
-  }
-
-  /// TokenJaccard over already-sorted-unique token vectors (linear merge
-  /// instead of two set constructions per pair).
-  static double SortedTokenJaccard(const std::vector<std::string>& a,
-                                   const std::vector<std::string>& b) {
-    if (a.empty() && b.empty()) return 1.0;
-    size_t inter = 0;
+  /// TokenJaccard of the two strings' word sets, as an integer merge of
+  /// interned ids.
+  double WordSetJaccard(Cell* a, Cell* b) {
+    InternWords(a);
+    InternWords(b);
+    if (a->words_size == 0 && b->words_size == 0) return 1.0;
+    const uint32_t* x = words_.data() + a->words_begin;
+    const uint32_t* y = words_.data() + b->words_begin;
     size_t i = 0;
     size_t j = 0;
-    while (i < a.size() && j < b.size()) {
-      int cmp = a[i].compare(b[j]);
-      if (cmp == 0) {
+    size_t inter = 0;
+    while (i < a->words_size && j < b->words_size) {
+      if (x[i] == y[j]) {
         ++inter;
         ++i;
         ++j;
-      } else if (cmp < 0) {
+      } else if (x[i] < y[j]) {
         ++i;
       } else {
         ++j;
       }
     }
-    size_t uni = a.size() + b.size() - inter;
-    if (uni == 0) return 1.0;
+    size_t uni = a->words_size + b->words_size - inter;
     return static_cast<double>(inter) / static_cast<double>(uni);
   }
 
-  const std::vector<size_t>& indexes_;
-  size_t required_;
-  std::vector<CellFeature> features_;
+  /// On first use, appends the cell's word set (split on ' ', empty words
+  /// dropped, as TokenJaccard's callers always did) to the arena as sorted
+  /// unique ids.
+  void InternWords(Cell* cell) {
+    if (cell->words_size != kNotTokenized) return;
+    const size_t begin = words_.size();
+    std::string_view s = cell->str;
+    for (size_t start = 0; start < s.size();) {
+      size_t end = std::min(s.find(' ', start), s.size());
+      if (end > start) {
+        words_.push_back(
+            word_ids_
+                .try_emplace(s.substr(start, end - start),
+                             static_cast<uint32_t>(word_ids_.size()))
+                .first->second);
+      }
+      start = end + 1;
+    }
+    std::sort(words_.begin() + begin, words_.end());
+    words_.erase(std::unique(words_.begin() + begin, words_.end()),
+                 words_.end());
+    cell->words_begin = static_cast<uint32_t>(begin);
+    cell->words_size = static_cast<uint32_t>(words_.size() - begin);
+  }
+
+  const std::vector<size_t> indexes_;
+  const size_t required_;
+  std::vector<Cell> cells_;  // slot-major, one per compared attribute
+  // Word ids of every tokenized cell, one flat arena per scorer.
+  std::vector<uint32_t> words_;
+  std::unordered_map<std::string_view, uint32_t> word_ids_;
+  // Per-pair scratch.
+  std::vector<double> cell_scores_;
+  std::vector<size_t> deferred_words_;
+  std::vector<size_t> deferred_chars_;
 };
+
+/// The attribute positions compared for similarity.
+std::vector<size_t> ComparedAttributes(const Schema& schema,
+                                       const DedupOptions& options) {
+  std::vector<size_t> indexes;
+  if (options.compare_attributes.empty()) {
+    for (size_t i = 0; i < schema.arity(); ++i) indexes.push_back(i);
+  } else {
+    for (const std::string& attr : options.compare_attributes) {
+      std::optional<size_t> i = schema.AttributeIndex(attr);
+      if (i.has_value()) indexes.push_back(*i);
+    }
+  }
+  return indexes;
+}
 
 /// Union-find with path compression.
 class UnionFind {
@@ -188,40 +266,34 @@ class UnionFind {
 
 }  // namespace
 
+DedupStats& DedupStats::operator+=(const DedupStats& other) {
+  pairs_considered += other.pairs_considered;
+  pairs_pruned += other.pairs_pruned;
+  pairs_scored += other.pairs_scored;
+  pairs_matched += other.pairs_matched;
+  blocks_truncated += other.blocks_truncated;
+  return *this;
+}
+
 DuplicateDetector::DuplicateDetector(DedupOptions options)
     : options_(std::move(options)) {}
 
 double DuplicateDetector::RecordSimilarity(const Relation& rel, size_t row_a,
                                            size_t row_b) const {
-  const Tuple& a = rel.rows()[row_a];
-  const Tuple& b = rel.rows()[row_b];
-  std::vector<size_t> indexes;
-  if (options_.compare_attributes.empty()) {
-    for (size_t i = 0; i < rel.schema().arity(); ++i) indexes.push_back(i);
-  } else {
-    for (const std::string& attr : options_.compare_attributes) {
-      std::optional<size_t> i = rel.schema().AttributeIndex(attr);
-      if (i.has_value()) indexes.push_back(*i);
-    }
-  }
+  std::vector<size_t> indexes = ComparedAttributes(rel.schema(), options_);
   if (indexes.empty()) return 0.0;
-  double sum = 0.0;
-  size_t counted = 0;
-  for (size_t i : indexes) {
-    // A null on either side is absence of evidence, not disagreement —
-    // a portal that omitted the crime rank must not veto a duplicate.
-    if (a.at(i).is_null() || b.at(i).is_null()) continue;
-    sum += ValueSimilarity(a.at(i), b.at(i));
-    ++counted;
-  }
   size_t required = std::min(options_.min_shared_fields, indexes.size());
-  if (counted < required) return 0.0;
-  if (counted == 0) return 0.0;
-  return sum / static_cast<double>(counted);
+  PairScorer scorer(std::move(indexes), required);
+  scorer.AddRow(rel.rows()[row_a]);
+  scorer.AddRow(rel.rows()[row_b]);
+  return *scorer.Score(0, 1, -std::numeric_limits<double>::infinity());
 }
 
 Result<std::vector<DuplicatePair>> DuplicateDetector::FindDuplicates(
-    const Relation& rel) const {
+    const Relation& rel, DedupStats* stats) const {
+  DedupStats local;
+  DedupStats& st = (stats != nullptr) ? *stats : local;
+  st = DedupStats();
   // Build blocks.
   std::map<std::string, std::vector<size_t>> blocks;
   if (options_.blocking_attributes.empty()) {
@@ -255,54 +327,60 @@ Result<std::vector<DuplicatePair>> DuplicateDetector::FindDuplicates(
     }
   }
 
-  // Resolve the compared attribute set once (RecordSimilarity re-derives
-  // it per pair; block comparison is quadratic, so hoist everything).
-  std::vector<size_t> indexes;
-  if (options_.compare_attributes.empty()) {
-    for (size_t i = 0; i < rel.schema().arity(); ++i) indexes.push_back(i);
-  } else {
-    for (const std::string& attr : options_.compare_attributes) {
-      std::optional<size_t> i = rel.schema().AttributeIndex(attr);
-      if (i.has_value()) indexes.push_back(*i);
-    }
-  }
   std::vector<DuplicatePair> out;
+  std::vector<size_t> indexes = ComparedAttributes(rel.schema(), options_);
   if (indexes.empty()) return out;
-  PairScorer scorer(rel, indexes,
-                    std::min(options_.min_shared_fields, indexes.size()));
+  size_t required = std::min(options_.min_shared_fields, indexes.size());
+  PairScorer scorer(std::move(indexes), required);
+  scorer.Reserve(rel.size());
+  for (const Tuple& row : rel.rows()) scorer.AddRow(row);
   for (const auto& [key, rows] : blocks) {
-    size_t pairs = 0;
-    for (size_t i = 0; i < rows.size(); ++i) {
+    size_t budget = options_.max_pairs_per_block;
+    bool truncated = false;
+    for (size_t i = 0; i < rows.size() && !truncated; ++i) {
       for (size_t j = i + 1; j < rows.size(); ++j) {
-        if (++pairs > options_.max_pairs_per_block) break;
-        double sim = scorer.Score(rows[i], rows[j]);
-        if (sim >= options_.threshold) {
-          out.push_back(DuplicatePair{rows[i], rows[j], sim});
+        if (budget == 0) {
+          truncated = true;
+          break;
+        }
+        --budget;
+        ++st.pairs_considered;
+        std::optional<double> sim =
+            scorer.Score(rows[i], rows[j], options_.threshold);
+        if (!sim.has_value()) {
+          ++st.pairs_pruned;
+          continue;
+        }
+        ++st.pairs_scored;
+        if (*sim >= options_.threshold) {
+          ++st.pairs_matched;
+          out.push_back(DuplicatePair{rows[i], rows[j], *sim});
         }
       }
-      if (pairs > options_.max_pairs_per_block) break;
     }
+    if (truncated) ++st.blocks_truncated;
   }
   return out;
 }
 
 Result<DuplicateClusters> DuplicateDetector::Cluster(
-    const Relation& rel) const {
-  Result<std::vector<DuplicatePair>> pairs = FindDuplicates(rel);
+    const Relation& rel, DedupStats* stats) const {
+  Result<std::vector<DuplicatePair>> pairs = FindDuplicates(rel, stats);
   if (!pairs.ok()) return pairs.status();
   UnionFind uf(rel.size());
   for (const DuplicatePair& p : pairs.value()) {
     uf.Union(p.row_a, p.row_b);
   }
+  // Clusters numbered densely in order of their first row.
   DuplicateClusters out;
   out.cluster_of.resize(rel.size());
-  std::map<size_t, size_t> dense;
+  constexpr size_t kUnnumbered = std::numeric_limits<size_t>::max();
+  std::vector<size_t> number_of_root(rel.size(), kUnnumbered);
   for (size_t r = 0; r < rel.size(); ++r) {
-    size_t root = uf.Find(r);
-    auto [it, added] = dense.emplace(root, dense.size());
-    out.cluster_of[r] = it->second;
+    size_t& number = number_of_root[uf.Find(r)];
+    if (number == kUnnumbered) number = out.num_clusters++;
+    out.cluster_of[r] = number;
   }
-  out.num_clusters = dense.size();
   return out;
 }
 

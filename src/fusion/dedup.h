@@ -33,6 +33,20 @@ struct DuplicatePair {
   double similarity = 0.0;
 };
 
+/// Work counters of one FindDuplicates (or Cluster) call. Every pair
+/// examined is either pruned or scored: pairs_pruned + pairs_scored ==
+/// pairs_considered, and pairs_matched <= pairs_scored.
+struct DedupStats {
+  size_t pairs_considered = 0;  ///< candidate pairs within the block cap
+  size_t pairs_pruned = 0;      ///< ruled out early: score bound, or too
+                                ///< few shared attributes
+  size_t pairs_scored = 0;      ///< exact similarity computed
+  size_t pairs_matched = 0;     ///< similarity at or above the threshold
+  size_t blocks_truncated = 0;  ///< blocks with more pairs than the cap
+
+  DedupStats& operator+=(const DedupStats& other);
+};
+
 /// Clusters of mutually-duplicate rows (transitive closure of pairs).
 struct DuplicateClusters {
   /// cluster id per row (clusters numbered densely from 0).
@@ -48,16 +62,22 @@ class DuplicateDetector {
   explicit DuplicateDetector(DedupOptions options = DedupOptions());
 
   /// Record-pair similarity: mean of per-attribute value similarities
-  /// (exact match 1, numeric closeness, string similarity; null-null
-  /// pairs are skipped, null-vs-value scores 0).
+  /// over the attributes where both rows are non-null (exact match 1,
+  /// numeric closeness, string similarity, mismatched types 0); 0 when
+  /// fewer than min_shared_fields attributes are shared.
   double RecordSimilarity(const Relation& rel, size_t row_a, size_t row_b)
       const;
 
-  /// All pairs above the threshold.
-  Result<std::vector<DuplicatePair>> FindDuplicates(const Relation& rel) const;
+  /// All pairs at or above the threshold, block by block in blocking-key
+  /// order, each block's pairs in row order. A pair's `similarity` is
+  /// exactly RecordSimilarity's; pairs that provably cannot reach the
+  /// threshold are rejected without scoring their string cells.
+  Result<std::vector<DuplicatePair>> FindDuplicates(
+      const Relation& rel, DedupStats* stats = nullptr) const;
 
   /// Union-find clustering of duplicate pairs.
-  Result<DuplicateClusters> Cluster(const Relation& rel) const;
+  Result<DuplicateClusters> Cluster(const Relation& rel,
+                                    DedupStats* stats = nullptr) const;
 
  private:
   DedupOptions options_;

@@ -1,5 +1,7 @@
 #include "fusion/fuser.h"
 
+#include <algorithm>
+
 namespace vada {
 
 Fuser::Fuser(FusionOptions options) : options_(std::move(options)) {}
@@ -29,12 +31,24 @@ Result<Relation> Fuser::Fuse(const Relation& rel,
 
   Relation out(Schema(result_name, rel.schema().attributes()));
   const size_t arity = rel.schema().arity();
+  // One tally per distinct non-null value of a column, in first-seen
+  // order; clusters are small, so a scan beats a tree.
+  struct Tally {
+    const Value* value;
+    double votes;
+  };
+  std::vector<Tally> tallies;
   for (const std::vector<size_t>& cluster : members) {
     if (cluster.empty()) continue;
+    // A lone row has nothing to vote against: it is its own fused row.
+    if (cluster.size() == 1) {
+      VADA_RETURN_IF_ERROR(out.InsertUnchecked(rel.rows()[cluster[0]]));
+      continue;
+    }
     std::vector<Value> fused(arity);
     for (size_t col = 0; col < arity; ++col) {
       // Weighted vote among non-null values.
-      std::map<Value, double> votes;
+      tallies.clear();
       size_t non_null_members = 0;
       for (size_t r : cluster) {
         const Value& v = rel.rows()[r].at(col);
@@ -42,25 +56,31 @@ Result<Relation> Fuser::Fuse(const Relation& rel,
         ++non_null_members;
         double w =
             options_.row_weights.empty() ? 1.0 : options_.row_weights[r];
-        votes[v] += w;
+        auto it = std::find_if(tallies.begin(), tallies.end(),
+                               [&v](const Tally& t) { return *t.value == v; });
+        if (it == tallies.end()) {
+          it = tallies.insert(tallies.end(), Tally{&v, 0.0});
+        }
+        it->votes += w;
       }
-      if (votes.empty()) {
+      if (tallies.empty()) {
         fused[col] = Value::Null();
         continue;
       }
+      // The most votes wins; among equal votes, the first value in Value
+      // order.
       const Value* best = nullptr;
       double best_votes = -1.0;
-      for (const auto& [v, w] : votes) {
-        if (w > best_votes) {
-          best_votes = w;
-          best = &v;
+      for (const Tally& t : tallies) {
+        if (t.votes > best_votes ||
+            (t.votes == best_votes && best != nullptr && *t.value < *best)) {
+          best_votes = t.votes;
+          best = t.value;
         }
       }
       fused[col] = *best;
-      if (votes.size() > 1) ++st->conflicts_resolved;
-      if (non_null_members < cluster.size() && cluster.size() > 1) {
-        ++st->nulls_filled;
-      }
+      if (tallies.size() > 1) ++st->conflicts_resolved;
+      if (non_null_members < cluster.size()) ++st->nulls_filled;
     }
     VADA_RETURN_IF_ERROR(out.InsertUnchecked(Tuple(std::move(fused))));
   }

@@ -206,6 +206,9 @@ struct WranglingState {
   /// relation borrows one shared immutable snapshot instead of
   /// re-interning the relation per mapping per run.
   datalog::SnapshotCache mapping_source_cache;
+  /// Duplicate-detection work summed over every fusion run of the
+  /// session (published as the vada_dedup_* gauges).
+  DedupStats dedup_stats;
 };
 
 }  // namespace vada

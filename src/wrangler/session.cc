@@ -273,6 +273,24 @@ void WranglingSession::PublishKbGauges() const {
       ->Set(static_cast<int64_t>(kb_.facts_added()));
   m->GetGauge("vada_kb_facts_removed", "Lifetime facts removed from the KB")
       ->Set(static_cast<int64_t>(kb_.facts_removed()));
+  // Duplicate-detection work over the session's fusion runs.
+  const DedupStats& dedup = state_->dedup_stats;
+  m->GetGauge("vada_dedup_pairs_considered",
+              "Candidate record pairs duplicate detection examined")
+      ->Set(static_cast<int64_t>(dedup.pairs_considered));
+  m->GetGauge("vada_dedup_pairs_pruned",
+              "Candidate pairs ruled out early, by the score bound or for "
+              "sharing too few attributes")
+      ->Set(static_cast<int64_t>(dedup.pairs_pruned));
+  m->GetGauge("vada_dedup_pairs_scored",
+              "Candidate pairs whose exact similarity was computed")
+      ->Set(static_cast<int64_t>(dedup.pairs_scored));
+  m->GetGauge("vada_dedup_pairs_matched",
+              "Candidate pairs at or above the duplicate threshold")
+      ->Set(static_cast<int64_t>(dedup.pairs_matched));
+  m->GetGauge("vada_dedup_blocks_truncated",
+              "Blocks cut short by max_pairs_per_block")
+      ->Set(static_cast<int64_t>(dedup.blocks_truncated));
   // Persistent composite join indexes live only on cached snapshot
   // databases (per-evaluation scratch copies die with their run): the
   // mapping-source cache, which the default path always uses, plus the

@@ -1,6 +1,7 @@
 #include "wrangler/standard_transducers.h"
 
 #include <algorithm>
+#include <functional>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -504,9 +505,16 @@ Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
     }
   }
 
+  // The union of the selected mappings' results, one weight per row. A
+  // row reachable through several mappings keeps its highest trust; rows
+  // are found by reference into the mapping results, which the KB keeps
+  // alive for the whole body.
   Relation unioned(Schema(state->config.result_relation,
                           target.value().attributes()));
-  std::unordered_map<Tuple, double, TupleHash> weight_of_row;
+  std::vector<double> row_weights;
+  std::unordered_map<std::reference_wrapper<const Tuple>, size_t, TupleHash,
+                     std::equal_to<Tuple>>
+      position_of;
   for (const Mapping& m : mappings.value()) {
     if (selected.count(m.id) == 0) continue;
     const Relation* rel = EffectiveResult(*kb, m);
@@ -520,17 +528,15 @@ Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
                   ? 1.0
                   : static_cast<double>(m.source_relations.size());
     for (const Tuple& row : rel->rows()) {
-      VADA_RETURN_IF_ERROR(unioned.InsertUnchecked(row));
-      // A row reachable through several mappings keeps its highest trust.
-      double& w = weight_of_row.emplace(row, weight).first->second;
-      w = std::max(w, weight);
+      auto [it, added] =
+          position_of.try_emplace(std::cref(row), row_weights.size());
+      if (added) {
+        VADA_RETURN_IF_ERROR(unioned.InsertUnchecked(row));
+        row_weights.push_back(weight);
+      } else {
+        row_weights[it->second] = std::max(row_weights[it->second], weight);
+      }
     }
-  }
-  std::vector<double> row_weights;
-  row_weights.reserve(unioned.size());
-  for (const Tuple& row : unioned.rows()) {
-    auto it = weight_of_row.find(row);
-    row_weights.push_back(it == weight_of_row.end() ? 1.0 : it->second);
   }
 
   // Duplicate detection + fusion. Blocking: configured attributes, else
@@ -541,8 +547,10 @@ Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
     dedup.blocking_attributes = {"postcode"};
   }
   DuplicateDetector detector(dedup);
-  Result<DuplicateClusters> clusters = detector.Cluster(unioned);
+  DedupStats dedup_stats;
+  Result<DuplicateClusters> clusters = detector.Cluster(unioned, &dedup_stats);
   if (!clusters.ok()) return clusters.status();
+  state->dedup_stats += dedup_stats;
   FusionOptions fusion_options;
   fusion_options.row_weights = std::move(row_weights);
   Fuser fuser(fusion_options);

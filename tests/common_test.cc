@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/rng.h"
 #include "common/similarity.h"
 #include "common/status.h"
@@ -123,6 +128,86 @@ TEST(SimilarityTest, JaroWinklerFavorsSharedPrefix) {
 TEST(SimilarityTest, JaroKnownValue) {
   // Classic example: MARTHA vs MARHTA = 0.944...
   EXPECT_NEAR(JaroSimilarity("MARTHA", "MARHTA"), 0.9444, 1e-3);
+}
+
+// JaroSimilarity as it was written before its match flags moved from two
+// std::vector<bool> to a stack buffer: the regression oracle below.
+double VectorBoolJaro(std::string_view a, std::string_view b) {
+  if (a.empty() && b.empty()) return 1.0;
+  if (a.empty() || b.empty()) return 0.0;
+  const int n = static_cast<int>(a.size());
+  const int m = static_cast<int>(b.size());
+  const int window = std::max(0, std::max(n, m) / 2 - 1);
+  std::vector<bool> a_matched(n, false);
+  std::vector<bool> b_matched(m, false);
+  int matches = 0;
+  for (int i = 0; i < n; ++i) {
+    int lo = std::max(0, i - window);
+    int hi = std::min(m - 1, i + window);
+    for (int j = lo; j <= hi; ++j) {
+      if (b_matched[j] || a[i] != b[j]) continue;
+      a_matched[i] = true;
+      b_matched[j] = true;
+      ++matches;
+      break;
+    }
+  }
+  if (matches == 0) return 0.0;
+  int transpositions = 0;
+  int k = 0;
+  for (int i = 0; i < n; ++i) {
+    if (!a_matched[i]) continue;
+    while (!b_matched[k]) ++k;
+    if (a[i] != b[k]) ++transpositions;
+    ++k;
+  }
+  double mm = matches;
+  return (mm / n + mm / m + (mm - transpositions / 2.0) / mm) / 3.0;
+}
+
+TEST(SimilarityTest, JaroMatchesVectorBoolImplementation) {
+  Rng rng(20260);
+  auto random_string = [&rng](size_t length) {
+    std::string s;
+    for (size_t i = 0; i < length; ++i) s += "abcde "[rng.Index(6)];
+    return s;
+  };
+  // Lengths around the 128-flag stack buffer (n + m <= 128 stays on the
+  // stack), plus empty and short strings.
+  const std::vector<size_t> lengths = {0, 1, 2, 5, 15, 16, 40,
+                                       63, 64, 65, 100, 127, 128, 129};
+  size_t compared = 0;
+  for (int iter = 0; iter < 4000; ++iter) {
+    std::string a = random_string(rng.Choice(lengths));
+    std::string b;
+    if (rng.Bernoulli(0.5)) {
+      b = random_string(rng.Choice(lengths));
+    } else {
+      // A perturbed copy: swaps and edits give partial matches and
+      // transpositions.
+      b = a;
+      for (size_t e = 0; e < 3 && !b.empty(); ++e) {
+        size_t i = rng.Index(b.size());
+        size_t j = rng.Index(b.size());
+        std::swap(b[i], b[j]);
+        if (rng.Bernoulli(0.3)) b[rng.Index(b.size())] = 'z';
+      }
+      if (rng.Bernoulli(0.3)) b += random_string(rng.Index(4));
+    }
+    EXPECT_EQ(JaroSimilarity(a, b), VectorBoolJaro(a, b))
+        << "'" << a << "' vs '" << b << "'";
+    ++compared;
+  }
+  // The exact buffer edge: n + m of 127, 128 and 129.
+  for (size_t total : {127u, 128u, 129u}) {
+    for (size_t n : {1u, 60u, 64u}) {
+      std::string a = random_string(n);
+      std::string b = random_string(total - n);
+      EXPECT_EQ(JaroSimilarity(a, b), VectorBoolJaro(a, b)) << total;
+      EXPECT_EQ(JaroSimilarity(b, a), VectorBoolJaro(b, a)) << total;
+    }
+  }
+  EXPECT_EQ(compared, 4000u);
 }
 
 TEST(SimilarityTest, QGramJaccard) {

@@ -280,6 +280,45 @@ TEST_F(SessionTest, MetricsReportExposesOrchestrationMetrics) {
   }
 }
 
+// Duplicate detection accounts for every candidate pair it examined
+// (pruned by the score bound or fully scored), and the vada_dedup_*
+// gauges publish the session's running totals.
+TEST_F(SessionTest, DedupStatsAccountForEveryCandidatePair) {
+  WranglingSession session;
+  ASSERT_TRUE(Bootstrap(&session).ok());
+  ASSERT_TRUE(session.Run().ok());
+  const DedupStats& st = session.state().dedup_stats;
+  EXPECT_GT(st.pairs_considered, 0u);
+  EXPECT_EQ(st.pairs_pruned + st.pairs_scored, st.pairs_considered);
+  EXPECT_GT(st.pairs_matched, 0u);
+  EXPECT_LE(st.pairs_matched, st.pairs_scored);
+  EXPECT_EQ(st.blocks_truncated, 0u);
+  const obs::MetricsSnapshot snapshot = session.MetricsReport().snapshot;
+  EXPECT_DOUBLE_EQ(snapshot.Value("vada_dedup_pairs_considered"),
+                   static_cast<double>(st.pairs_considered));
+  EXPECT_DOUBLE_EQ(snapshot.Value("vada_dedup_pairs_pruned"),
+                   static_cast<double>(st.pairs_pruned));
+  EXPECT_DOUBLE_EQ(snapshot.Value("vada_dedup_pairs_scored"),
+                   static_cast<double>(st.pairs_scored));
+  EXPECT_DOUBLE_EQ(snapshot.Value("vada_dedup_pairs_matched"),
+                   static_cast<double>(st.pairs_matched));
+  EXPECT_DOUBLE_EQ(snapshot.Value("vada_dedup_blocks_truncated"), 0.0);
+}
+
+// A block cut short by max_pairs_per_block is recorded, not silent.
+TEST_F(SessionTest, DedupBlockCapIsRecorded) {
+  WranglerConfig config;
+  config.dedup.max_pairs_per_block = 1;
+  WranglingSession session(config);
+  ASSERT_TRUE(Bootstrap(&session).ok());
+  ASSERT_TRUE(session.Run().ok());
+  const DedupStats& st = session.state().dedup_stats;
+  EXPECT_GT(st.blocks_truncated, 0u);
+  EXPECT_DOUBLE_EQ(
+      session.MetricsReport().snapshot.Value("vada_dedup_blocks_truncated"),
+      static_cast<double>(st.blocks_truncated));
+}
+
 // vada_index_bytes covers every persistent composite join index: the
 // mapping-source cache the default path always uses, plus the optional
 // dependency-scan cache.
