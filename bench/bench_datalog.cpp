@@ -242,7 +242,6 @@ void BM_ParallelTransitiveClosureGrid(benchmark::State& state) {
     Database db = GridDb(side);
     EvalOptions opts;
     if (threads > 1) opts.pool = &pool;
-    opts.parallel_chunk_threshold = 64;
     Evaluator eval(program, opts);
     if (!eval.Prepare().ok()) state.SkipWithError("prepare failed");
     if (!eval.Run(&db).ok()) state.SkipWithError("run failed");

@@ -102,11 +102,9 @@ int main() {
   }
   SessionMetricsReport metrics_report = obs_session.MetricsReport();
 
-  // --- Parallel & incremental evaluation (DESIGN.md §5e): the same
-  // bootstrap with 4 threads and the version-keyed snapshot cache.
-  // Output is bit-identical by construction; only wall time may change.
-  // On a single-core host the pool is ~neutral and the cache carries the
-  // speedup (it removes per-scan relation copying entirely). ---
+  // --- Parallel evaluation (DESIGN.md §5e): the same bootstrap with 4
+  // threads. Output is bit-identical by construction; only wall time may
+  // change. On a single-core host the pool is ~neutral. ---
   auto timed_bootstrap = [&](const WranglerConfig& cfg, double* out_ms) {
     auto par_session = std::make_unique<WranglingSession>(cfg);
     Status ps = par_session->SetTargetSchema(PaperTargetSchema());
@@ -124,7 +122,6 @@ int main() {
   s = timed_bootstrap(seq_config, &seq_ms);
   WranglerConfig par_config = seq_config;
   par_config.parallelism.threads = 4;
-  par_config.parallelism.snapshot_cache = true;
   double par_ms = 0.0;
   if (s.ok()) s = timed_bootstrap(par_config, &par_ms);
   if (!s.ok()) {
@@ -164,7 +161,7 @@ int main() {
                     "%"});
   table.AddRow({"VADA bootstrap (threads=1)", "-", "-", Fmt(seq_ms, 1), "-",
                 "-"});
-  table.AddRow({"VADA bootstrap (threads=4 + snapshot cache)", "-", "-",
+  table.AddRow({"VADA bootstrap (threads=4)", "-", "-",
                 Fmt(par_ms, 1), "-",
                 "speedup " + Fmt(parallel_speedup, 2) + "x"});
   table.Print();
@@ -198,7 +195,7 @@ int main() {
   report.Add("datalog_join_probes",
              metrics_report.snapshot.Value("vada_datalog_join_probes"));
   report.Add("bootstrap_threads1_ms", seq_ms);
-  report.Add("bootstrap_threads4_cache_ms", par_ms);
+  report.Add("bootstrap_threads4_ms", par_ms);
   report.Add("parallel_speedup", parallel_speedup);
   report.Add("hardware_threads",
              static_cast<double>(std::thread::hardware_concurrency()));

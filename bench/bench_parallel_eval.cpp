@@ -1,18 +1,19 @@
-// Experiment E13 — parallel & incremental evaluation (DESIGN.md §5e):
-// quantifies the three PR-4 mechanisms on the demonstration scenario:
+// Experiment E13 — parallel evaluation and the snapshot cache
+// (DESIGN.md §5e), on the demonstration scenario:
 //
-//  1. the version-keyed snapshot cache (eligibility scans stop
-//     re-copying relations whose version did not move);
+//  1. the session's one version-keyed snapshot cache, always on
+//     (dependency scans and mapping execution stop re-copying relations
+//     whose version did not move) — its hits and misses are reported;
 //  2. pool-parallel eligibility scans (dependency queries of one scan
 //     evaluated concurrently over the immutable KB);
-//  3. pool-parallel per-stratum rule evaluation in the reasoner.
+//  3. pool-parallel per-rule evaluation in the reasoner.
 //
-// All three are bit-identity-preserving — every configuration below
-// produces the same result rows in the same order — so this bench only
-// measures wall time and cache effectiveness. Thread speedups track the
-// host's real core count (recorded as hardware_threads): on a 1-core
-// container the pool rows are ~1.0x and the snapshot cache carries the
-// win, since it removes copying work outright rather than overlapping it.
+// Every configuration below produces the same result rows in the same
+// order, so this bench only measures wall time and cache effectiveness.
+// Thread speedups track the host's real core count (recorded as
+// hardware_threads): on a 1-core container the pool rows are ~1.0x. A
+// standalone orchestrator over a scan-heavy KB shows the cache against
+// the copying path it replaced.
 #include <memory>
 #include <thread>
 
@@ -35,17 +36,16 @@ int main() {
                                    sc.deprivation};
 
   // One bootstrap per configuration; fresh session each time so no state
-  // carries over. Returns wall ms; captures cache stats when enabled.
+  // carries over. Returns wall ms and the session cache's stats.
   struct RunOutcome {
     double ms = 0.0;
     size_t result_rows = 0;
     datalog::SnapshotCache::Stats cache;
   };
-  auto bootstrap = [&](size_t threads, bool cache) {
+  auto bootstrap = [&](size_t threads) {
     WranglerConfig config;
     config.obs.enabled = false;
     config.parallelism.threads = threads;
-    config.parallelism.snapshot_cache = cache;
     auto session = std::make_unique<WranglingSession>(config);
     Status s = session->SetTargetSchema(PaperTargetSchema());
     for (const Relation& src : sources) {
@@ -60,55 +60,45 @@ int main() {
       if (s.ok()) s = session->Run();
     });
     if (!s.ok()) {
-      std::fprintf(stderr, "bootstrap(threads=%zu, cache=%d) failed: %s\n",
-                   threads, cache ? 1 : 0, s.ToString().c_str());
+      std::fprintf(stderr, "bootstrap(threads=%zu) failed: %s\n", threads,
+                   s.ToString().c_str());
       std::exit(1);
     }
     if (session->result() != nullptr) {
       out.result_rows = session->result()->size();
     }
-    if (session->snapshot_cache() != nullptr) {
-      out.cache = session->snapshot_cache()->stats();
-    }
+    out.cache = session->snapshot_cache().stats();
     return out;
   };
 
   // Warm-up run so first-touch allocation noise does not land on the
   // sequential baseline.
-  (void)bootstrap(1, false);
+  (void)bootstrap(1);
 
-  RunOutcome seq = bootstrap(1, false);
-  RunOutcome cached = bootstrap(1, true);
-  RunOutcome pooled = bootstrap(4, false);
-  RunOutcome both = bootstrap(4, true);
+  RunOutcome seq = bootstrap(1);
+  RunOutcome pooled = bootstrap(4);
 
   double cache_hit_rate =
-      cached.cache.hits + cached.cache.misses > 0
-          ? static_cast<double>(cached.cache.hits) /
-                static_cast<double>(cached.cache.hits + cached.cache.misses)
+      seq.cache.hits + seq.cache.misses > 0
+          ? static_cast<double>(seq.cache.hits) /
+                static_cast<double>(seq.cache.hits + seq.cache.misses)
           : 0.0;
 
   Table table({"configuration", "wall ms", "speedup vs sequential",
                "cache hits", "cache misses", "result rows"});
-  auto speedup = [&](const RunOutcome& r) {
-    return r.ms > 0 ? seq.ms / r.ms : 0.0;
+  auto row = [&](const char* name, const RunOutcome& r) {
+    table.AddRow({name, Fmt(r.ms, 1), Fmt(r.ms > 0 ? seq.ms / r.ms : 0.0, 2),
+                  std::to_string(r.cache.hits),
+                  std::to_string(r.cache.misses),
+                  std::to_string(r.result_rows)});
   };
-  table.AddRow({"threads=1 (sequential escape hatch)", Fmt(seq.ms, 1),
-                "1.00", "-", "-", std::to_string(seq.result_rows)});
-  table.AddRow({"threads=1 + snapshot cache", Fmt(cached.ms, 1),
-                Fmt(speedup(cached), 2), std::to_string(cached.cache.hits),
-                std::to_string(cached.cache.misses),
-                std::to_string(cached.result_rows)});
-  table.AddRow({"threads=4", Fmt(pooled.ms, 1), Fmt(speedup(pooled), 2), "-",
-                "-", std::to_string(pooled.result_rows)});
-  table.AddRow({"threads=4 + snapshot cache", Fmt(both.ms, 1),
-                Fmt(speedup(both), 2), std::to_string(both.cache.hits),
-                std::to_string(both.cache.misses),
-                std::to_string(both.result_rows)});
+  row("threads=1 (sequential)", seq);
+  row("threads=4", pooled);
   table.Print();
+  const double pool_speedup = pooled.ms > 0 ? seq.ms / pooled.ms : 0.0;
 
   // Standalone reasoner: grid transitive closure with and without the
-  // pool, production chunking threshold.
+  // pool — the rules of each semi-naive round run as concurrent tasks.
   datalog::Program tc =
       datalog::Parser::Parse(
           "tc(X, Y) :- edge(X, Y). tc(X, Y) :- edge(X, Z), tc(Z, Y).")
@@ -133,7 +123,6 @@ int main() {
     datalog::Database db = grid_db();
     datalog::EvalOptions opts;
     opts.pool = pool;
-    opts.parallel_chunk_threshold = 64;
     datalog::Evaluator eval(tc, opts);
     double ms = 0.0;
     if (eval.Prepare().ok()) {
@@ -219,15 +208,10 @@ int main() {
 
   BenchReport report("parallel_eval");
   report.Add("bootstrap_threads1_ms", seq.ms);
-  report.Add("bootstrap_threads1_cache_ms", cached.ms);
   report.Add("bootstrap_threads4_ms", pooled.ms);
-  report.Add("bootstrap_threads4_cache_ms", both.ms);
-  report.Add("cache_speedup", speedup(cached));
-  report.Add("pool_speedup", speedup(pooled));
-  report.Add("combined_speedup", speedup(both));
-  report.Add("snapshot_cache_hits", static_cast<double>(cached.cache.hits));
-  report.Add("snapshot_cache_misses",
-             static_cast<double>(cached.cache.misses));
+  report.Add("pool_speedup", pool_speedup);
+  report.Add("snapshot_cache_hits", static_cast<double>(seq.cache.hits));
+  report.Add("snapshot_cache_misses", static_cast<double>(seq.cache.misses));
   report.Add("snapshot_cache_hit_rate", cache_hit_rate);
   report.Add("eval_grid_tc_threads1_ms", eval_seq_ms);
   report.Add("eval_grid_tc_threads4_ms", eval_par_ms);
@@ -248,8 +232,8 @@ int main() {
       "\nnotes:\n"
       "  * every configuration produces identical result rows in\n"
       "    identical order (enforced by parallel_eval_test);\n"
-      "  * the snapshot cache converts per-scan relation copies into\n"
-      "    version checks, so it helps regardless of core count;\n"
+      "  * the snapshot cache is always on; it converts relation copies\n"
+      "    into version checks, so it helps regardless of core count;\n"
       "  * pool speedups require real cores — compare against the\n"
       "    hardware_threads entry before reading anything into them.\n");
   return 0;

@@ -401,43 +401,19 @@ class RuleExecutor {
     Descend(0, on_solution);
   }
 
-  /// Restricts the outermost body literal (which must be a positive atom)
-  /// to the candidate subrange [begin, end). Concatenating the solutions
-  /// of consecutive ranges reproduces the full run's solutions in the
-  /// same order — the invariant parallel range-chunking relies on.
-  void RestrictOuterRange(size_t begin, size_t end) {
-    outer_begin_ = begin;
-    outer_end_ = end;
-  }
-
   BindingEnv& env() { return env_; }
 
   /// EXPLAIN ANALYZE hookup: when set (one slot per compiled body
   /// literal), probe/candidate counters are additionally recorded per
-  /// literal — at the same sites and with the same chunk-dedup rule as
-  /// work_, so per-literal totals reconcile with EvalStats exactly —
-  /// and each literal accumulates inclusive wall time. Null (the
-  /// default): zero extra work.
+  /// literal — at the same sites as work_, so per-literal totals
+  /// reconcile with EvalStats exactly — and each literal accumulates
+  /// inclusive wall time. Null (the default): zero extra work.
   void set_lit_stats(std::vector<LiteralRuntime>* lit_stats) {
     lit_stats_ = lit_stats;
   }
 
   /// Join-work counters of this execution (see JoinWork).
   const JoinWork& work() const { return work_; }
-
-  /// Number of candidates the outermost body literal ranges over — the
-  /// iteration space parallel chunking splits. 0 when the rule cannot be
-  /// chunked (empty body, or a builtin/negation was ordered first).
-  /// Uses exactly the same candidate selection as execution, so chunk
-  /// ranges always cover what EvalAtom enumerates. Index builds it
-  /// triggers are counted in work(); probe counters are left untouched
-  /// (planning is not evaluation).
-  size_t OuterCandidateCount() {
-    if (rule_.body.empty() || rule_.body[0].kind != Literal::Kind::kAtom) {
-      return 0;
-    }
-    return SelectCandidates(rule_.body[0], 0, *sources_[0]).count;
-  }
 
   /// Ground instances of the rule's positive body atoms under the current
   /// (complete) bindings — the premises of the derivation just emitted.
@@ -588,11 +564,10 @@ class RuleExecutor {
   /// composite bound-prefix index when enabled and the relation is large
   /// enough, single-column seek on the first bound position otherwise,
   /// full scan when nothing is bound or indexes are disabled (the
-  /// differential oracle). Shared by EvalAtom and OuterCandidateCount so
-  /// parallel chunk planning counts exactly what execution enumerates.
-  /// `lit.bound_positions` is static, but it equals the runtime binding
-  /// state here because execution follows the compiled order: atoms bind
-  /// every variable they mention and assignments always bind theirs.
+  /// differential oracle). `lit.bound_positions` is static, but it
+  /// equals the runtime binding state here because execution follows
+  /// the compiled order: atoms bind every variable they mention and
+  /// assignments always bind theirs.
   Candidates SelectCandidates(const CompiledLiteral& lit, size_t index,
                               const Database& source) {
     Candidates out;
@@ -646,31 +621,21 @@ class RuleExecutor {
   void EvalAtom(const CompiledLiteral& lit, const Database& source,
                 size_t index, Fn&& on_solution) {
     Candidates cand = SelectCandidates(lit, index, source);
-    // Chunked runs evaluate literal 0 once per chunk against the same
-    // bindings; count its probe only in the first chunk so parallel
-    // stats stay bit-identical to sequential ones.
-    if (cand.via_index && (index != 0 || outer_begin_ == 0)) {
+    if (cand.via_index) {
       ++work_.index_probes;
       if (lit_stats_ != nullptr) ++(*lit_stats_)[index].index_probes;
     }
     if (cand.miss) return;  // no fact matches the bound prefix
-    size_t begin = 0;
-    size_t end = cand.count;
-    if (index == 0) {
-      begin = std::min(outer_begin_, cand.count);
-      end = std::min(outer_end_, cand.count);
-      if (begin > end) begin = end;
-    }
     if (cand.via_index) {
-      work_.index_candidates += end - begin;
+      work_.index_candidates += cand.count;
       if (lit_stats_ != nullptr) {
-        (*lit_stats_)[index].index_candidates += end - begin;
+        (*lit_stats_)[index].index_candidates += cand.count;
       }
     } else {
-      work_.scan_probes += end - begin;
-      if (lit_stats_ != nullptr) (*lit_stats_)[index].scan_probes += end - begin;
+      work_.scan_probes += cand.count;
+      if (lit_stats_ != nullptr) (*lit_stats_)[index].scan_probes += cand.count;
     }
-    if (begin == end || !cand.view.valid()) return;
+    if (cand.count == 0 || !cand.view.valid()) return;
     // All rows of a store share its arity, so the row engine's per-fact
     // arity test hoists to one check per call (candidates above were
     // already counted, matching the row engine's bookkeeping).
@@ -679,7 +644,7 @@ class RuleExecutor {
     // The vectorized probe loop: raw column pointers, id comparisons
     // only. No Value is constructed, hashed or compared anywhere below.
     const AtomMatchPlan& plan = lit.match;
-    for (size_t ci = begin; ci < end; ++ci) {
+    for (size_t ci = 0; ci < cand.count; ++ci) {
       uint32_t row = (cand.list != nullptr) ? (*cand.list)[ci]
                                             : static_cast<uint32_t>(ci);
       bool ok = true;
@@ -728,8 +693,6 @@ class RuleExecutor {
   PlannerOptions planner_;
   SymbolTable& table_;
   std::vector<LitIndex> lit_index_;
-  size_t outer_begin_ = 0;
-  size_t outer_end_ = static_cast<size_t>(-1);
   BindingEnv env_;
   JoinWork work_;
   std::vector<SymbolId> key_scratch_;  // composite probe key, reused
@@ -737,7 +700,6 @@ class RuleExecutor {
 };
 
 constexpr size_t kNoDelta = static_cast<size_t>(-1);
-constexpr size_t kFullRange = static_cast<size_t>(-1);
 
 /// Executor sources where every literal reads `db` except the atom at
 /// compiled position `delta_position` (kNoDelta: none), which ranges
@@ -794,12 +756,9 @@ bool DbContainsIds(const Database& db, const std::string& predicate,
 /// flat ids (head-arity ids per solution). When `premises_out` is
 /// non-null it receives, parallel to the produced rows, the ground
 /// positive body atoms of each solution (for provenance).
-/// `[outer_begin, outer_end)` restricts the outermost literal's candidate
-/// range (parallel chunking); pass 0/kFullRange for a full evaluation.
 void EvaluateRule(
     const CompiledRule& rule, const Database& db, const Database* delta,
-    size_t delta_position, size_t outer_begin, size_t outer_end,
-    const PlannerOptions& planner, ProducedRows* out,
+    size_t delta_position, const PlannerOptions& planner, ProducedRows* out,
     std::vector<std::vector<std::pair<std::string, Tuple>>>* premises_out =
         nullptr,
     JoinWork* work = nullptr,
@@ -807,7 +766,6 @@ void EvaluateRule(
   RuleExecutor exec(rule, DeltaSources(rule, db, delta, delta_position),
                     planner);
   exec.set_lit_stats(lit_stats);
-  exec.RestrictOuterRange(outer_begin, outer_end);
   exec.ForEachSolution([&](const BindingEnv& env) {
     AppendHeadIds(rule, env, out);
     if (premises_out != nullptr) {
@@ -1050,8 +1008,8 @@ Status Evaluator::RunIncrement(Database* db, const Database& delta,
         ++st->rule_applications;
         ProducedRows out;
         JoinWork work;
-        EvaluateRule(rule, *db, current, pos, 0, kFullRange, options_.planner,
-                     &out, nullptr, &work, nullptr);
+        EvaluateRule(rule, *db, current, pos, options_.planner, &out, nullptr,
+                     &work, nullptr);
         work.MergeInto(st);
         for (size_t i = 0; i < out.rows; ++i) {
           const SymbolId* row = out.ids.data() + i * head_arity;
@@ -1277,8 +1235,8 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
           JoinWork naive_work;
           std::vector<LiteralRuntime> lit_rt;
           if (rex != nullptr) lit_rt.resize(rule.body.size());
-          EvaluateRule(rule, *db, nullptr, kNoDelta, 0, kFullRange,
-                       options_.planner, &produced,
+          EvaluateRule(rule, *db, nullptr, kNoDelta, options_.planner,
+                       &produced,
                        provenance != nullptr ? &premises : nullptr,
                        &naive_work,
                        rex != nullptr && !lit_rt.empty() ? &lit_rt : nullptr);
@@ -1320,15 +1278,11 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
     // immutable round-start state and results are merged in fixed task
     // order, so the rules of a round are embarrassingly parallel and a
     // pool run is bit-identical to an inline run — same facts, same
-    // per-predicate order, same EvalStats (DESIGN.md §5e). Large tasks
-    // are further split into outer-candidate ranges; concatenating
-    // range results reproduces the unchunked enumeration order exactly.
+    // per-predicate order, same EvalStats (DESIGN.md §5e).
     struct RuleTask {
       const CompiledRule* rule = nullptr;
       RuleExplain* rex = nullptr;  // EXPLAIN ANALYZE target, else null
       size_t delta_position = kNoDelta;
-      size_t outer_begin = 0;
-      size_t outer_end = kFullRange;
       ProducedRows produced;
       std::vector<std::vector<std::pair<std::string, Tuple>>> premises;
       JoinWork work;
@@ -1339,44 +1293,14 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
             ? options_.pool
             : nullptr;
 
-    auto plan_rule = [&](const CompiledRule& rule, RuleExplain* rex,
-                         size_t delta_position, const Database* delta,
-                         std::vector<RuleTask>* tasks) {
+    auto add_task = [&](const CompiledRule& rule, RuleExplain* rex,
+                        size_t delta_position, std::vector<RuleTask>* tasks) {
       ++st->rule_applications;
       if (rex != nullptr) ++rex->applications;
-      RuleTask task;
+      RuleTask& task = tasks->emplace_back();
       task.rule = &rule;
       task.rex = rex;
       task.delta_position = delta_position;
-      size_t chunks = 1;
-      size_t count = 0;
-      if (pool != nullptr) {
-        // The planning executor shares EvalAtom's candidate selection, so
-        // any index it builds is the one execution will probe; credit the
-        // build to this rule's stats.
-        RuleExecutor probe(rule, DeltaSources(rule, *db, delta, delta_position),
-                           options_.planner);
-        count = probe.OuterCandidateCount();
-        st->index_builds += probe.work().index_builds;
-        if (count >= options_.parallel_chunk_threshold) {
-          chunks = std::min(pool->workers() + 1, count);
-        }
-      }
-      if (chunks <= 1) {
-        tasks->push_back(std::move(task));
-        return;
-      }
-      size_t base = count / chunks;
-      size_t rem = count % chunks;
-      size_t begin = 0;
-      for (size_t c = 0; c < chunks; ++c) {
-        size_t len = base + (c < rem ? 1 : 0);
-        RuleTask chunk = task;
-        chunk.outer_begin = begin;
-        chunk.outer_end = begin + len;
-        begin += len;
-        tasks->push_back(std::move(chunk));
-      }
     };
 
     auto run_tasks = [&](std::vector<RuleTask>* tasks, const Database* delta) {
@@ -1384,8 +1308,7 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
         RuleTask& task = (*tasks)[i];
         if (task.rex != nullptr) task.lit_stats.resize(task.rule->body.size());
         EvaluateRule(*task.rule, *db, delta, task.delta_position,
-                     task.outer_begin, task.outer_end, options_.planner,
-                     &task.produced,
+                     options_.planner, &task.produced,
                      provenance != nullptr ? &task.premises : nullptr,
                      &task.work,
                      task.lit_stats.empty() ? nullptr : &task.lit_stats);
@@ -1430,7 +1353,7 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
     {
       std::vector<RuleTask> tasks;
       for (size_t ri = 0; ri < normal_rules.size(); ++ri) {
-        plan_rule(normal_rules[ri], normal_rex[ri], kNoDelta, nullptr, &tasks);
+        add_task(normal_rules[ri], normal_rex[ri], kNoDelta, &tasks);
       }
       run_tasks(&tasks, nullptr);
       merge_tasks(&tasks, &delta);
@@ -1445,7 +1368,7 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
         const CompiledRule& rule = normal_rules[ri];
         for (size_t pos : rule.recursive_positions) {
           if (delta.FactCount(rule.body[pos].atom.predicate) == 0) continue;
-          plan_rule(rule, normal_rex[ri], pos, &delta, &tasks);
+          add_task(rule, normal_rex[ri], pos, &tasks);
         }
       }
       run_tasks(&tasks, &delta);

@@ -37,15 +37,11 @@ struct EvalOptions {
   /// this registry. Null: no instrumentation beyond EvalStats.
   obs::MetricsRegistry* metrics = nullptr;
   /// Optional worker pool (not owned). When set, the rules of each
-  /// semi-naive round are evaluated concurrently and large rules are
-  /// additionally split into outer-candidate range chunks. Results are
-  /// merged in fixed task order, so derived facts, their order, and
-  /// EvalStats are identical to a nullptr-pool run. Null: evaluate
-  /// inline on the calling thread.
+  /// semi-naive round are evaluated concurrently, one task per rule (per
+  /// delta occurrence in later rounds). Results are merged in fixed task
+  /// order, so derived facts, their order, and EvalStats are identical
+  /// to a nullptr-pool run. Null: evaluate inline on the calling thread.
   ThreadPool* pool = nullptr;
-  /// Minimum number of outer-literal candidates before one rule
-  /// evaluation is split into parallel range chunks (only with `pool`).
-  size_t parallel_chunk_threshold = 1024;
   /// Join planning: composite hash-index probing and cost-based literal
   /// reordering (DESIGN.md §5f). Defaults on; `{.indexes = false,
   /// .reorder = false}` is the full-scan, legacy-order reference oracle

@@ -10,16 +10,17 @@ namespace vada::datalog {
 
 /// Actual join work attributed to one body literal under EXPLAIN
 /// ANALYZE. The three probe counters are recorded at exactly the same
-/// sites (with the same chunk-dedup rule) as the evaluator's JoinWork,
-/// so summing them over a plan reproduces the run's EvalStats join
-/// counters — the reconciliation invariant explain_test asserts.
+/// sites as the evaluator's JoinWork, so summing them over a plan
+/// reproduces the run's EvalStats join counters — the reconciliation
+/// invariant explain_test asserts.
 struct LiteralRuntime {
   uint64_t scan_probes = 0;      ///< candidate facts scanned (non-indexed)
   uint64_t index_probes = 0;     ///< composite hash-index lookups
   uint64_t index_candidates = 0; ///< facts enumerated from index buckets
   /// Inclusive wall time: this literal *and* everything nested inside
-  /// it in the join tree. Summed across parallel chunks, so it can
-  /// exceed the rule's wall time under a pool (it is CPU-time-like).
+  /// it in the join tree. Summed across a rule's tasks (one per delta
+  /// occurrence), which a pool runs concurrently, so it can exceed the
+  /// rule's wall time there (it is CPU-time-like).
   uint64_t time_ns = 0;
 
   void Add(const LiteralRuntime& o) {

@@ -6,11 +6,13 @@ namespace vada::datalog {
 
 std::shared_ptr<const Database> SnapshotCache::Get(const KnowledgeBase& kb,
                                                    const std::string& name) {
+  const uint64_t epoch = kb.version_epoch();
   const uint64_t version = kb.relation_version(name);
   {
     MutexLock lock(mutex_);
     auto it = entries_.find(name);
-    if (it != entries_.end() && it->second.version == version) {
+    if (it != entries_.end() && it->second.epoch == epoch &&
+        it->second.version == version) {
       ++stats_.hits;
       if (hits_counter_ != nullptr) hits_counter_->Increment();
       return it->second.snapshot;
@@ -34,24 +36,16 @@ std::shared_ptr<const Database> SnapshotCache::Get(const KnowledgeBase& kb,
   MutexLock lock(mutex_);
   ++stats_.misses;
   if (misses_counter_ != nullptr) misses_counter_->Increment();
-  entries_[name] = Entry{version, snapshot};
+  entries_[name] = Entry{epoch, version, snapshot};
   return snapshot;
 }
 
-void SnapshotCache::Invalidate(const std::string& name) {
+std::vector<std::string> SnapshotCache::relations() const {
   MutexLock lock(mutex_);
-  if (entries_.erase(name) > 0) ++stats_.invalidations;
-}
-
-void SnapshotCache::Clear() {
-  MutexLock lock(mutex_);
-  stats_.invalidations += entries_.size();
-  entries_.clear();
-}
-
-size_t SnapshotCache::size() const {
-  MutexLock lock(mutex_);
-  return entries_.size();
+  std::vector<std::string> names;
+  names.reserve(entries_.size());
+  for (const auto& [name, entry] : entries_) names.push_back(name);
+  return names;
 }
 
 size_t SnapshotCache::ApproxIndexBytes() const {

@@ -18,22 +18,25 @@ namespace vada::datalog {
 /// Version-keyed cache of per-relation `Database` snapshots.
 ///
 /// Every orchestration step re-runs the dependency queries of every
-/// candidate transducer, and each query snapshots the relations it
-/// reads out of the knowledge base. Between steps only the relations a
-/// transducer just wrote actually change, so most of that copying is
-/// redundant — this cache keeps one immutable single-relation snapshot
-/// per relation, keyed by the KB's per-relation version counter, and
-/// rebuilds an entry only when its version moved.
+/// candidate transducer, and mapping execution reads the same source
+/// relations mapping after mapping. Between steps only the relations a
+/// transducer just wrote actually change, so most re-interning of
+/// relations is redundant — this cache keeps one immutable
+/// single-relation snapshot per relation, keyed by the KB's version
+/// epoch and the relation's version counter, and rebuilds an entry only
+/// when either moved. A session owns one cache and shares it between
+/// dependency scans and mapping execution.
 ///
-/// Keying invariant: a cached snapshot for (name, v) is byte-equivalent
-/// to the relation's contents whenever `kb.relation_version(name) == v`.
-/// This holds because every KnowledgeBase mutation bumps the relation's
-/// version, versions are allocated from the global counter (so a
-/// dropped-and-recreated relation can never reuse an old version), and
-/// `WriteGuard::Rollback` restores contents and version counters
-/// together. Callers that roll back should still call `Invalidate` on
-/// the touched relations — it is free, and it keeps the cache correct
-/// even if a future mutation path forgets to bump.
+/// Keying invariant: a cached snapshot for (name, epoch, v) is
+/// byte-equivalent to the relation's contents whenever
+/// `kb.version_epoch() == epoch && kb.relation_version(name) == v`.
+/// Every KnowledgeBase mutation bumps the relation's version, and
+/// versions come from the global counter, so a dropped-and-recreated
+/// relation never reuses an old version. `WriteGuard::Rollback` does
+/// rewind that counter, so the next mutation can receive a version a
+/// rolled-back write already had — but a rewinding rollback also bumps
+/// the epoch, so every entry built before it misses once and is rebuilt.
+/// The dependency memo keys on the same pair (transducer/network.h).
 ///
 /// Composite join indexes (Database::EnsureBoundIndex) live on the
 /// snapshot databases themselves, so every evaluation borrowing one
@@ -48,26 +51,20 @@ class SnapshotCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t invalidations = 0;
   };
 
   SnapshotCache() = default;
 
-  /// Returns an immutable snapshot of relation `name` at its current
-  /// version, building and caching it on miss. Returns nullptr when the
-  /// relation does not exist (negative result is not cached: absence is
-  /// cheap to re-check and has no version to key on).
+  /// Returns an immutable snapshot of relation `name` at the KB's
+  /// current version epoch and the relation's current version, building
+  /// and caching it on miss. Returns nullptr when the relation does not
+  /// exist (negative result is not cached: absence is cheap to re-check
+  /// and has no version to key on).
   std::shared_ptr<const Database> Get(const KnowledgeBase& kb,
                                       const std::string& name);
 
-  /// Drops the cached snapshot for `name`, if any.
-  void Invalidate(const std::string& name);
-
-  /// Drops every cached snapshot.
-  void Clear();
-
-  /// Number of relations currently cached.
-  size_t size() const;
+  /// Names of the relations currently cached, sorted.
+  std::vector<std::string> relations() const;
 
   /// Approximate resident bytes of the composite join indexes built on
   /// the cached snapshots (the only place persistent composite indexes
@@ -83,6 +80,7 @@ class SnapshotCache {
 
  private:
   struct Entry {
+    uint64_t epoch = 0;
     uint64_t version = 0;
     std::shared_ptr<const Database> snapshot;
   };

@@ -36,13 +36,6 @@ void WriteGuard::OnMutation(const std::string& relation) {
   }
 }
 
-std::vector<std::string> WriteGuard::TouchedRelationNames() const {
-  std::vector<std::string> names;
-  names.reserve(touched_.size());
-  for (const auto& [name, pre_image] : touched_) names.push_back(name);
-  return names;
-}
-
 void WriteGuard::Commit() {
   if (done_) return;
   done_ = true;

@@ -4,7 +4,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "kb/catalog.h"
 #include "kb/knowledge_base.h"
@@ -56,13 +55,6 @@ class WriteGuard {
 
   /// Number of relations snapshotted so far (touched by a mutation).
   size_t touched_relations() const { return touched_.size(); }
-
-  /// Names of the relations mutated since construction (sorted). Only
-  /// meaningful while the guard is active — Commit/Rollback clear the
-  /// pre-image map — so callers that need the set after a rollback (the
-  /// orchestrator invalidates snapshot-cache entries for exactly these
-  /// relations) must capture it first.
-  std::vector<std::string> TouchedRelationNames() const;
 
  private:
   friend class KnowledgeBase;

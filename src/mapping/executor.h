@@ -53,8 +53,9 @@ class MappingExecutor {
   /// When set, each mapping borrows immutable shared snapshots of its
   /// sources (zero-copy, indexes shared across mappings) instead of
   /// re-interning every source relation per Execute call. Not owned;
-  /// must outlive the executor. Always safe: snapshots are keyed on KB
-  /// relation versions, so a stale entry can never be returned.
+  /// must outlive the executor. Always safe: snapshots are keyed on the
+  /// KB version epoch and relation version, so a stale entry can never
+  /// be returned.
   void set_snapshot_cache(datalog::SnapshotCache* cache) { cache_ = cache; }
 
   /// Evaluates `mapping` against the source instances in `kb` and returns

@@ -98,11 +98,12 @@ Status HttpServer::Start(uint16_t port) {
 void HttpServer::Stop() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   // shutdown() wakes the blocking accept(); close() alone is not
-  // guaranteed to on all platforms.
+  // guaranteed to on all platforms. The accept loop reads listen_fd_,
+  // so it is closed and reset only after the loop has exited.
   ::shutdown(listen_fd_, SHUT_RDWR);
+  if (thread_.joinable()) thread_.join();
   ::close(listen_fd_);
   listen_fd_ = -1;
-  if (thread_.joinable()) thread_.join();
   port_.store(0, std::memory_order_release);
 }
 

@@ -205,8 +205,7 @@ Result<bool> NetworkTransducer::IsSatisfied(const Transducer& transducer,
   Result<Dependency*> dep = DependencyFor(transducer.input_dependency());
   if (dep.ok() && dep.value()->MemoHolds(*kb)) return dep.value()->ready;
   Result<std::vector<Tuple>> ready =
-      dep.ok() ? datalog::QueryKnowledgeBase(dep.value()->program, *kb, "ready")
-               : dep.status();
+      dep.ok() ? EvaluateDependency(*dep.value(), *kb) : dep.status();
   if (!ready.ok()) {
     // Chain the message but keep the underlying code (a parse error stays
     // kParseError, an evaluation bug stays kInternal) so callers can
@@ -218,6 +217,15 @@ Result<bool> NetworkTransducer::IsSatisfied(const Transducer& transducer,
   dep.value()->key = dep.value()->KeyFor(*kb);
   dep.value()->ready = !ready.value().empty();
   return dep.value()->ready;
+}
+
+Result<std::vector<Tuple>> NetworkTransducer::EvaluateDependency(
+    const Dependency& dep, const KnowledgeBase& kb) const {
+  datalog::EvalOptions eval_options;
+  eval_options.planner = options_.planner;
+  if (options_.obs != nullptr) eval_options.metrics = options_.obs->metrics();
+  return datalog::QueryKnowledgeBase(dep.program, kb, "ready", eval_options,
+                                     options_.snapshot_cache);
 }
 
 std::vector<std::string> NetworkTransducer::QuarantinedTransducers() const {
@@ -334,8 +342,6 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
   obs::Histogram* dep_check_hist = nullptr;
   obs::Histogram* rollback_hist = nullptr;
   obs::Histogram* scan_speedup_hist = nullptr;
-  datalog::EvalOptions eval_options;
-  eval_options.planner = options_.planner;
   if (m != nullptr) {
     steps_counter =
         m->GetCounter("vada_orchestrator_steps", "Transducer executions");
@@ -364,13 +370,11 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         "Parallel eligibility-scan speedup: sum of per-query wall times "
         "divided by the parallel phase's wall time (1.0 = no benefit)",
         {0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0});
-    eval_options.metrics = m;
   }
   ThreadPool* pool =
       (options_.pool != nullptr && options_.pool->workers() > 0)
           ? options_.pool
           : nullptr;
-  datalog::SnapshotCache* cache = options_.snapshot_cache;
 
   // Fixpoint probes are a per-Run budget (a new Run is new information:
   // the user added context or feedback, so benched transducers deserve
@@ -491,8 +495,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
           return;
         }
         keys[i] = deps[i].value()->KeyFor(*kb);
-        ready[i] = datalog::QueryKnowledgeBase(deps[i].value()->program, *kb,
-                                               "ready", eval_options, cache);
+        ready[i] = EvaluateDependency(*deps[i].value(), *kb);
       };
 
       // Phase 2 (parallel mode only): evaluate up front on the pool every
@@ -634,18 +637,8 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
           guard.Commit();
           break;
         }
-        // Capture before Rollback() clears the pre-image map. Rollback
-        // restores contents and version counters together, so strictly
-        // the version-keyed entries stay valid — invalidating is the
-        // defensive belt-and-braces for the cache's keying invariant
-        // (snapshot_cache.h).
-        std::vector<std::string> touched;
-        if (cache != nullptr) touched = guard.TouchedRelationNames();
         uint64_t rb0 = obs::MonotonicNanos();
         guard.Rollback();
-        if (cache != nullptr) {
-          for (const std::string& name : touched) cache->Invalidate(name);
-        }
         if (rollback_hist != nullptr) {
           rollback_hist->Observe(
               static_cast<double>(obs::MonotonicNanos() - rb0) * 1e-9);

@@ -87,11 +87,12 @@ struct OrchestratorOptions {
   /// so scheduling decisions are identical to a nullptr-pool run. Null:
   /// the scan runs inline exactly as before (the threads=1 escape hatch).
   ThreadPool* pool = nullptr;
-  /// Version-keyed relation-snapshot cache shared by the scan's
-  /// dependency queries (not owned). Dramatically cuts per-scan relation
-  /// copying: only relations whose version moved since the previous scan
-  /// are re-snapshotted. Null: every query copies what it reads, as
-  /// before. Works with or without `pool`.
+  /// Version-keyed relation-snapshot cache shared by the dependency
+  /// queries (not owned; a session passes the one cache its mapping
+  /// execution also reads through). Only relations whose version moved
+  /// since the previous scan are re-snapshotted. Null: every query
+  /// copies what it reads — for standalone orchestrators in tests and
+  /// benches. Works with or without `pool`.
   datalog::SnapshotCache* snapshot_cache = nullptr;
   /// Join planning of the scan's dependency queries (composite index
   /// probing, cost-based literal reordering; see datalog/planner.h).
@@ -221,6 +222,12 @@ class NetworkTransducer {
     /// The key of `kb`'s current read-set contents.
     std::vector<uint64_t> KeyFor(const KnowledgeBase& kb) const;
   };
+
+  /// Evaluates `dep`'s query over `kb` with the orchestrator's planner
+  /// options, snapshot cache and metrics — the one evaluation path of
+  /// both Run's eligibility scans and IsSatisfied.
+  Result<std::vector<Tuple>> EvaluateDependency(const Dependency& dep,
+                                                const KnowledgeBase& kb) const;
 
   /// Returns the entry for a dependency-query text, parsing it at most
   /// once per distinct text (dependency texts are fixed at transducer

@@ -42,25 +42,17 @@ struct SourceSelectorOptions {
   bool exclude_below_min = true;
 };
 
-/// Parallel & incremental evaluation knobs (DESIGN.md §5e). The
-/// defaults — one thread, no cache — reproduce the fully sequential
-/// engine exactly; the session only constructs a pool/cache when asked.
+/// Parallel evaluation (DESIGN.md §5e). The default — one thread —
+/// runs everything inline; the session only constructs a pool when
+/// asked.
 struct ParallelismOptions {
-  /// Worker threads for eligibility scans and per-stratum rule
-  /// evaluation. 1 (or 0) means no pool is created and everything runs
-  /// inline on the calling thread, bit-identical to earlier releases.
-  /// Results are deterministic at every setting — parallel evaluation
-  /// merges in fixed task order — so raising this never changes output,
-  /// only wall time.
+  /// Worker threads for eligibility scans (one task per dependency
+  /// query) and per-stratum rule evaluation (one task per rule). 1 (or
+  /// 0) means no pool is created and everything runs inline on the
+  /// calling thread. Results are deterministic at every setting —
+  /// parallel evaluation merges in fixed task order — so raising this
+  /// never changes output, only wall time.
   size_t threads = 1;
-  /// Version-keyed snapshot cache for dependency-scan relation loads
-  /// (see datalog/snapshot_cache.h): an eligibility scan re-copies only
-  /// relations whose version moved since the previous scan. Independent
-  /// of `threads`; the biggest single win for scans over large KBs.
-  bool snapshot_cache = false;
-  /// Minimum outer-candidate count before one rule evaluation is split
-  /// into parallel chunks (forwarded to EvalOptions).
-  size_t parallel_chunk_threshold = 1024;
 };
 
 /// Delta-driven differential maintenance of mapping execution — the
@@ -120,10 +112,9 @@ struct WranglerConfig {
   /// or `on_failure_exhausted = FailureAction::kAbort` to fail fast
   /// *with* rollback and retries. See failure_policy.h and DESIGN.md §5d.
   FailurePolicy fault_tolerance;
-  /// Parallel & incremental evaluation: thread count for scans and rule
-  /// evaluation, and the version-keyed snapshot cache. Defaults are the
-  /// sequential escape hatch (threads = 1, cache off). See DESIGN.md §5e
-  /// and README "Performance & tuning".
+  /// Parallel evaluation: thread count for scans and rule evaluation.
+  /// The default is the sequential engine (threads = 1). See DESIGN.md
+  /// §5e and README "Performance & tuning".
   ParallelismOptions parallelism;
   /// Join planning for every Datalog evaluation the session runs —
   /// mapping execution, dependency scans and orchestration queries:
@@ -200,12 +191,12 @@ struct WranglingState {
   /// by mapping id; entries of mappings that no longer exist are pruned
   /// after each mapping-execution run.
   std::map<std::string, MappingDeltaState> mapping_delta;
-  /// Version-keyed snapshot cache for mapping execution's source loads
-  /// (always on — correctness is guaranteed by KB relation versions;
-  /// see datalog/snapshot_cache.h). Every mapping that reads a source
-  /// relation borrows one shared immutable snapshot instead of
-  /// re-interning the relation per mapping per run.
-  datalog::SnapshotCache mapping_source_cache;
+  /// The session's one version-keyed snapshot cache (always on —
+  /// entries are keyed on the KB version epoch and relation version; see
+  /// datalog/snapshot_cache.h). Dependency scans and mapping execution
+  /// both borrow shared immutable relation snapshots from it instead of
+  /// re-interning a relation per query or per mapping.
+  datalog::SnapshotCache snapshot_cache;
   /// Duplicate-detection work summed over every fusion run of the
   /// session (published as the vada_dedup_* gauges).
   DedupStats dedup_stats;

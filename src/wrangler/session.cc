@@ -77,28 +77,24 @@ WranglingSession::WranglingSession(WranglerConfig config) {
     state_->delta_log = delta_log_.get();
   }
   registry_.SetDecorator(state_->config.transducer_decorator);
-  const ParallelismOptions& par = state_->config.parallelism;
-  if (par.threads > 1) {
-    pool_ = std::make_unique<ThreadPool>(par.threads - 1);
-  }
-  if (par.snapshot_cache) {
-    snapshot_cache_ = std::make_unique<datalog::SnapshotCache>();
-    if (obs_->metrics() != nullptr) {
-      snapshot_cache_->SetCounters(
-          obs_->metrics()->GetCounter(
-              "vada_snapshot_cache_hits_total",
-              "Dependency-scan relation loads served from the snapshot "
-              "cache without copying"),
-          obs_->metrics()->GetCounter(
-              "vada_snapshot_cache_misses_total",
-              "Dependency-scan relation loads that (re)built a snapshot"));
-    }
+  const size_t threads = state_->config.parallelism.threads;
+  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
+  if (obs_->metrics() != nullptr) {
+    state_->snapshot_cache.SetCounters(
+        obs_->metrics()->GetCounter(
+            "vada_snapshot_cache_hits_total",
+            "Relation loads (dependency scans and mapping sources) served "
+            "from the snapshot cache without copying"),
+        obs_->metrics()->GetCounter(
+            "vada_snapshot_cache_misses_total",
+            "Relation loads (dependency scans and mapping sources) that "
+            "(re)built a snapshot"));
   }
   OrchestratorOptions orch_options;
   orch_options.obs = obs_.get();
   orch_options.failure_policy = state_->config.fault_tolerance;
   orch_options.pool = pool_.get();
-  orch_options.snapshot_cache = snapshot_cache_.get();
+  orch_options.snapshot_cache = &state_->snapshot_cache;
   orch_options.planner = state_->config.planner;
   orchestrator_ = std::make_unique<NetworkTransducer>(
       &registry_,
@@ -292,13 +288,8 @@ void WranglingSession::PublishKbGauges() const {
               "Blocks cut short by max_pairs_per_block")
       ->Set(static_cast<int64_t>(dedup.blocks_truncated));
   // Persistent composite join indexes live only on cached snapshot
-  // databases (per-evaluation scratch copies die with their run): the
-  // mapping-source cache, which the default path always uses, plus the
-  // optional dependency-scan cache.
-  size_t index_bytes = state_->mapping_source_cache.ApproxIndexBytes();
-  if (snapshot_cache_ != nullptr) {
-    index_bytes += snapshot_cache_->ApproxIndexBytes();
-  }
+  // databases (per-evaluation scratch copies die with their run).
+  size_t index_bytes = state_->snapshot_cache.ApproxIndexBytes();
   m->GetGauge("vada_index_bytes",
               "Approximate resident bytes of composite join indexes on "
               "cached relation snapshots")

@@ -162,11 +162,11 @@ class WranglingSession {
   const KnowledgeBase& kb() const { return kb_; }
   const WranglingState& state() const { return *state_; }
 
-  /// The snapshot cache backing config.parallelism.snapshot_cache
-  /// (nullptr when the cache is off). Exposed for tests and benches that
-  /// assert on hit/miss statistics.
-  const datalog::SnapshotCache* snapshot_cache() const {
-    return snapshot_cache_.get();
+  /// The session's one snapshot cache, shared by dependency scans and
+  /// mapping execution. Exposed for tests and benches that assert on
+  /// hit/miss statistics.
+  const datalog::SnapshotCache& snapshot_cache() const {
+    return state_->snapshot_cache;
   }
 
  private:
@@ -192,12 +192,10 @@ class WranglingSession {
   /// const MetricsReport() also calls.
   mutable obs::SessionRegistry::SessionHandle session_handle_;
   TransducerRegistry registry_;
-  /// Worker pool and snapshot cache backing config.parallelism (null
-  /// when threads <= 1 / the cache is off). Declared before the
-  /// orchestrator, which borrows raw pointers to both, so they outlive
-  /// it on destruction.
+  /// Worker pool backing config.parallelism (null when threads <= 1).
+  /// Declared before the orchestrator, which borrows raw pointers to it
+  /// and to state_->snapshot_cache, so both outlive it on destruction.
   std::unique_ptr<ThreadPool> pool_;
-  std::unique_ptr<datalog::SnapshotCache> snapshot_cache_;
   std::unique_ptr<NetworkTransducer> orchestrator_;
   bool transducers_registered_ = false;
 };

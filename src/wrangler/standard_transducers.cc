@@ -215,7 +215,7 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
   }
   if (UpToDate(*state, *kb, "mapping_execution", deps)) return Status::OK();
   MappingExecutor executor(state->config.planner);
-  executor.set_snapshot_cache(&state->mapping_source_cache);
+  executor.set_snapshot_cache(&state->snapshot_cache);
   const bool incremental =
       state->config.incremental.enabled && state->delta_log != nullptr;
   for (const Mapping& m : mappings.value()) {

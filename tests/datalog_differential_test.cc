@@ -79,10 +79,9 @@ TEST_P(JoinPlannerDifferential, AllPlannerConfigsAgreeOnRandomPrograms) {
         EXPECT_EQ(sequential.facts, expected.facts);
       }
       // The pool-backed run of the same config is bit-identical,
-      // stats included (chunk threshold 1 forces chunking everywhere).
+      // stats included.
       EvalOptions par = opts;
       par.pool = &pool;
-      par.parallel_chunk_threshold = 1;
       EvalOutput parallel = Evaluate(program.value(), edb, par);
       EXPECT_TRUE(parallel == sequential);
     }
@@ -133,7 +132,6 @@ TEST_P(OptimizerDifferential, GoalVisibleOutputIsBitIdentical) {
 
       EvalOptions par = optimized;
       par.pool = &pool;
-      par.parallel_chunk_threshold = 1;
       Database par_db = edb;
       Result<std::vector<Tuple>> parallel =
           Query(program.value(), &par_db, goal, par);
@@ -197,7 +195,6 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
     // the delta paths are sequential by construction).
     DifferentialOptions par_opts = inc_opts;
     par_opts.eval.pool = &pool;
-    par_opts.eval.parallel_chunk_threshold = 1;
     DifferentialEvaluator pdiff(program.value(), par_opts);
     ASSERT_TRUE(pdiff.Prepare().ok());
     ASSERT_TRUE(pdiff.Initialize(edb).ok());

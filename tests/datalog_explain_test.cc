@@ -85,8 +85,8 @@ TEST(ExplainTest, PlainExplainShowsPlanWithoutEvaluating) {
 
 // The reconciliation invariant: EXPLAIN ANALYZE's per-literal actuals,
 // summed over the plan, equal the run's EvalStats join counters AND the
-// vada_datalog_* counters a metrics registry records — same sites, same
-// chunk-dedup rule, no double counting.
+// vada_datalog_* counters a metrics registry records — same sites, no
+// double counting.
 TEST(ExplainTest, AnalyzeTotalsReconcileWithEvalStatsAndMetrics) {
   obs::MetricsRegistry registry;
   EvalOptions options;
@@ -132,13 +132,12 @@ TEST(ExplainTest, AnalyzeTotalsReconcileWithEvalStatsAndMetrics) {
   EXPECT_EQ(derived, stats.facts_derived);
 }
 
-// Parallel chunked evaluation attributes the same per-literal work as
-// the sequential run (merge-order determinism extends to ANALYZE).
+// Pool-backed evaluation attributes the same per-literal work as the
+// sequential run (merge-order determinism extends to ANALYZE).
 TEST(ExplainTest, AnalyzeAttributionIsIdenticalUnderPool) {
   auto run = [](ThreadPool* pool) {
     EvalOptions options;
     options.pool = pool;
-    options.parallel_chunk_threshold = 4;  // force chunk splits
     Database db;
     db.LoadRelation(MakeEdges("edge", 48));
     Evaluator eval = MakeEvaluator(kTransitiveClosure, options);

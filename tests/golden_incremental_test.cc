@@ -171,7 +171,6 @@ TEST(GoldenIncrementalTest, FeedbackStreamMatchesGoldenWithAndWithoutDeltas) {
     v.name = "maintenance on, pool-backed";
     v.config.incremental.enabled = true;
     v.config.parallelism.threads = 4;
-    v.config.parallelism.snapshot_cache = true;
     variants.push_back(v);
   }
   for (const Variant& v : variants) {

@@ -127,10 +127,8 @@ TEST(GoldenSessionTest, DemoScenarioMatchesGoldenUnderAllPlannerConfigs) {
   }
   {
     Variant v;
-    v.name = "parallel with cache";
+    v.name = "threads = 4";
     v.config.parallelism.threads = 4;
-    v.config.parallelism.snapshot_cache = true;
-    v.config.parallelism.parallel_chunk_threshold = 64;
     variants.push_back(v);
   }
   for (const Variant& v : variants) {

@@ -210,11 +210,10 @@ TEST(GoldenTraceTest, SchedulingDecisionsMatchGolden) {
     ASSERT_EQ(baseline[i], golden[i]) << "first divergence at line " << i;
   }
 
-  // The pool evaluates memo misses concurrently and the snapshot cache
-  // shares relation loads; neither may change a decision.
+  // The pool evaluates memo misses concurrently over the shared
+  // snapshot cache; that may not change a decision.
   WranglerConfig pooled;
   pooled.parallelism.threads = 4;
-  pooled.parallelism.snapshot_cache = true;
   WranglerConfig pooled_faults = FaultConfig(injector);
   pooled_faults.parallelism = pooled.parallelism;
   EXPECT_EQ(RunAll(pooled, pooled_faults), golden);

@@ -67,7 +67,6 @@ TEST(IncrementalSessionSoakTest, EventStreamMatchesFullRerunOracle) {
   inc_config.incremental.enabled = true;
   // Pool-backed, to put the delta path under the TSan job's eye too.
   inc_config.parallelism.threads = 3;
-  inc_config.parallelism.snapshot_cache = true;
   WranglingSession incremental(inc_config);
   WranglingSession oracle;  // defaults: full re-execution every round
   ASSERT_TRUE(Bootstrap(&incremental, truth).ok());

@@ -122,8 +122,8 @@ std::string Join(const std::set<std::string>& names) {
 TEST(MetricInventoryTest, RuntimeAndDesignDocAgreeBothWays) {
   obs::MetricsRegistry registry;
 
-  // 1. A full-featured wrangle: shared registry, worker pool, snapshot
-  //    cache, durability (WAL + checkpoint + recovery families, §5i) and
+  // 1. A full-featured wrangle: shared registry, worker pool, durability
+  //    (WAL + checkpoint + recovery families, §5i) and
   //    the introspection server (one scrape registers the server's own
   //    request counter). MetricsReport refreshes the KB and process
   //    gauges.
@@ -134,7 +134,6 @@ TEST(MetricInventoryTest, RuntimeAndDesignDocAgreeBothWays) {
     config.obs.registry = &registry;
     config.obs.http_port = 0;
     config.parallelism.threads = 2;
-    config.parallelism.snapshot_cache = true;
     config.incremental.enabled = true;  // vada_delta_* families (§5k)
     config.durability.enabled = true;
     config.durability.directory = wal_dir;

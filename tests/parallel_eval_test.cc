@@ -102,9 +102,7 @@ std::string RandomProgram(Rng* rng) {
 
 /// Property: a pool-backed evaluation is bit-identical to the sequential
 /// one — same facts, same per-predicate row order, same EvalStats — on
-/// randomly generated programs. chunk threshold 1 forces chunked rule
-/// evaluation even on tiny relations, maximising coverage of the merge
-/// path.
+/// randomly generated programs.
 class ParallelSequentialEquivalence : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelSequentialEquivalence,
@@ -123,15 +121,14 @@ TEST_P(ParallelSequentialEquivalence, BitIdenticalOnRandomPrograms) {
   ThreadPool pool(3);
   EvalOptions parallel;
   parallel.pool = &pool;
-  parallel.parallel_chunk_threshold = 1;
   EvalOutput actual = Evaluate(program.value(), edb, parallel);
 
   EXPECT_TRUE(expected == actual) << "seed " << GetParam();
 }
 
-TEST(ParallelEvalTest, LargeRelationWithDefaultThresholdMatchesSequential) {
-  // `big` exceeds the default 1024-candidate threshold, so real chunking
-  // kicks in with production settings; the chain adds recursion depth.
+TEST(ParallelEvalTest, LargeRelationMatchesSequential) {
+  // Rules over a 2000-row relation run as concurrent tasks next to the
+  // recursive chain, which adds recursion depth.
   Database edb;
   for (int i = 0; i < 2000; ++i) {
     edb.Insert("big", Tuple({Value::Int(i), Value::Int(i % 40)}));
@@ -167,7 +164,6 @@ TEST(ParallelEvalTest, NaiveModeAlsoBitIdentical) {
   EvalOptions parallel;
   parallel.semi_naive = false;
   parallel.pool = &pool;
-  parallel.parallel_chunk_threshold = 1;
   EvalOutput actual = Evaluate(program.value(), edb, parallel);
   EXPECT_TRUE(expected == actual);
 }
@@ -250,9 +246,9 @@ TEST(ParallelEvalTest, OrchestratorScanIdenticalWithPoolAndCache) {
   EXPECT_GT(cache.stats().hits, 0u);
 }
 
-/// End-to-end: a full wrangling session configured with 4 threads and
-/// the snapshot cache produces the same result relation, in the same row
-/// order, as the default sequential session.
+/// End-to-end: a full wrangling session configured with 4 threads
+/// produces the same result relation, in the same row order, as the
+/// default sequential session.
 TEST(ParallelEvalTest, SessionResultIdenticalUnderParallelConfig) {
   PropertyUniverseOptions uopts;
   uopts.num_properties = 60;
@@ -287,8 +283,6 @@ TEST(ParallelEvalTest, SessionResultIdenticalUnderParallelConfig) {
 
   WranglerConfig parallel;
   parallel.parallelism.threads = 4;
-  parallel.parallelism.snapshot_cache = true;
-  parallel.parallelism.parallel_chunk_threshold = 64;
   auto actual = run_session(parallel);
 
   EXPECT_EQ(expected.first, actual.first);

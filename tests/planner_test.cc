@@ -278,12 +278,19 @@ TEST(BoundIndexTest, WriteGuardRollbackYieldsConsistentSnapshotIndexes) {
   {
     WriteGuard guard(&kb);
     ASSERT_TRUE(kb.Assert("r", {Value::Int(77), Value::Int(78)}).ok());
+    // A snapshot fetched mid-transaction sees the write, index included.
+    std::shared_ptr<const Database> inside = cache.Get(kb, "r");
+    ASSERT_NE(inside, nullptr);
+    const BoundIndex* index_inside =
+        inside->EnsureBoundIndex("r", {0}, &built);
+    ASSERT_NE(index_inside, nullptr);
+    ASSERT_EQ(index_inside->buckets.count(IdKey({Value::Int(77)})), 1u);
     guard.Rollback();
   }
-  cache.Invalidate("r");  // the documented post-rollback courtesy call
 
-  // The re-fetched snapshot reflects the rolled-back contents, and the
-  // index built on it never sees the aborted write.
+  // The rollback moved the version epoch, so the re-fetched snapshot
+  // reflects the rolled-back contents, and the index built on it never
+  // sees the aborted write.
   std::shared_ptr<const Database> after = cache.Get(kb, "r");
   ASSERT_NE(after, nullptr);
   EXPECT_EQ(after->FactCount("r"), 5u);

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "extract/open_government.h"
 #include "extract/real_estate.h"
 #include "obs/json.h"
@@ -320,25 +324,44 @@ TEST_F(SessionTest, DedupBlockCapIsRecorded) {
 }
 
 // vada_index_bytes covers every persistent composite join index: the
-// mapping-source cache the default path always uses, plus the optional
-// dependency-scan cache.
+// ones built on the session's snapshot cache, which mapping execution's
+// source loads go through.
 TEST_F(SessionTest, IndexBytesGaugeCountsMappingSourceIndexes) {
-  for (bool scan_cache : {false, true}) {
-    SCOPED_TRACE(scan_cache ? "snapshot_cache on" : "snapshot_cache off");
-    WranglerConfig config;
-    config.parallelism.snapshot_cache = scan_cache;
-    WranglingSession session(config);
-    ASSERT_TRUE(Bootstrap(&session).ok());
-    ASSERT_TRUE(session.Run().ok());
-    const double gauge =
-        session.MetricsReport().snapshot.Value("vada_index_bytes");
-    size_t caches = session.state().mapping_source_cache.ApproxIndexBytes();
-    if (session.snapshot_cache() != nullptr) {
-      caches += session.snapshot_cache()->ApproxIndexBytes();
-    }
-    EXPECT_GT(gauge, 0.0);
-    EXPECT_DOUBLE_EQ(gauge, static_cast<double>(caches));
-  }
+  WranglingSession session;
+  ASSERT_TRUE(Bootstrap(&session).ok());
+  ASSERT_TRUE(session.Run().ok());
+  const double gauge =
+      session.MetricsReport().snapshot.Value("vada_index_bytes");
+  EXPECT_GT(gauge, 0.0);
+  EXPECT_DOUBLE_EQ(
+      gauge, static_cast<double>(session.snapshot_cache().ApproxIndexBytes()));
+}
+
+// A session keeps one snapshot cache: on the default config, the
+// orchestrator's dependency scans and mapping execution's source loads
+// both land in it, and its hit/miss counters are always registered.
+TEST_F(SessionTest, OneSnapshotCacheServesScansAndMappings) {
+  WranglingSession session;
+  ASSERT_TRUE(Bootstrap(&session).ok());
+  ASSERT_TRUE(session.Run().ok());
+  const datalog::SnapshotCache& cache = session.snapshot_cache();
+  const std::vector<std::string> cached = cache.relations();
+  auto has = [&](const std::string& name) {
+    return std::binary_search(cached.begin(), cached.end(), name);
+  };
+  // Only dependency queries read the sys_* control relations ...
+  EXPECT_TRUE(has("sys_relation_nonempty"));
+  // ... and only mappings read the sources.
+  EXPECT_TRUE(has(rightmove_.name()));
+  EXPECT_TRUE(has(onthemarket_.name()));
+
+  const obs::MetricsSnapshot snapshot = session.MetricsReport().snapshot;
+  const datalog::SnapshotCache::Stats stats = cache.stats();
+  EXPECT_GT(snapshot.Value("vada_snapshot_cache_hits_total"), 0.0);
+  EXPECT_DOUBLE_EQ(snapshot.Value("vada_snapshot_cache_hits_total"),
+                   static_cast<double>(stats.hits));
+  EXPECT_DOUBLE_EQ(snapshot.Value("vada_snapshot_cache_misses_total"),
+                   static_cast<double>(stats.misses));
 }
 
 TEST_F(SessionTest, MetricsReportRendersBothExportFormats) {

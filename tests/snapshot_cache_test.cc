@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -36,7 +37,7 @@ TEST(SnapshotCacheTest, SecondGetAtSameVersionIsAHit) {
 
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 1u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.relations(), std::vector<std::string>{"r"});
 }
 
 TEST(SnapshotCacheTest, MutationMovesVersionAndRebuildsSnapshot) {
@@ -60,7 +61,7 @@ TEST(SnapshotCacheTest, MissingRelationReturnsNullAndIsNotCached) {
   SnapshotCache cache;
   EXPECT_EQ(cache.Get(kb, "absent"), nullptr);
   EXPECT_EQ(cache.Get(kb, "absent"), nullptr);
-  EXPECT_EQ(cache.size(), 0u);
+  EXPECT_TRUE(cache.relations().empty());
   EXPECT_EQ(cache.stats().misses, 2u);
 }
 
@@ -69,29 +70,57 @@ TEST(SnapshotCacheTest, RollbackRestoresVersionSoCachedEntryStaysValid) {
   SnapshotCache cache;
   std::shared_ptr<const Database> before = cache.Get(kb, "r");
   const uint64_t v_before = kb.relation_version("r");
+  const uint64_t epoch_before = kb.version_epoch();
 
-  std::vector<std::string> touched;
   {
     WriteGuard guard(&kb);
     ASSERT_TRUE(kb.Assert("r", {Value::Int(99)}).ok());
-    touched = guard.TouchedRelationNames();
     guard.Rollback();
   }
-  ASSERT_EQ(touched, std::vector<std::string>{"r"});
-  // Rollback restores contents *and* version counters together, so the
-  // cached entry is still keyed correctly ...
+  // Rollback restores contents *and* version counters together, but it
+  // rewound the global counter, so it also moved the version epoch ...
   EXPECT_EQ(kb.relation_version("r"), v_before);
-  std::shared_ptr<const Database> after = cache.Get(kb, "r");
-  EXPECT_EQ(before.get(), after.get());
-  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(kb.version_epoch(), epoch_before + 1);
 
-  // ... and the orchestrator's defensive invalidation only costs one
-  // rebuild with identical contents.
-  for (const std::string& name : touched) cache.Invalidate(name);
-  EXPECT_EQ(cache.stats().invalidations, 1u);
+  // ... which costs exactly one rebuild, with identical contents.
   std::shared_ptr<const Database> rebuilt = cache.Get(kb, "r");
   ASSERT_NE(rebuilt, nullptr);
+  EXPECT_NE(rebuilt.get(), before.get());
   EXPECT_EQ(rebuilt->facts("r"), before->facts("r"));
+  EXPECT_EQ(cache.stats().misses, 2u);
+
+  // The rebuilt entry is keyed on the new epoch and serves hits again.
+  EXPECT_EQ(cache.Get(kb, "r").get(), rebuilt.get());
+  EXPECT_EQ(cache.stats().hits, 1u);
+}
+
+TEST(SnapshotCacheTest, RolledBackVersionIsNeverServedAgain) {
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("r", {"a"})).ok());
+  ASSERT_TRUE(kb.Assert("r", {Value::Int(1)}).ok());
+  SnapshotCache cache;
+
+  uint64_t rolled_back_version = 0;
+  {
+    WriteGuard guard(&kb);
+    ASSERT_TRUE(kb.Assert("r", {Value::Int(99)}).ok());
+    rolled_back_version = kb.relation_version("r");
+    std::shared_ptr<const Database> inside = cache.Get(kb, "r");
+    ASSERT_NE(inside, nullptr);
+    ASSERT_TRUE(inside->Contains("r", Tuple({Value::Int(99)})));
+    guard.Rollback();
+  }
+
+  // The rewound counter hands the rolled-back write's version out again:
+  // (relation, version) alone would name the discarded contents.
+  ASSERT_TRUE(kb.Assert("r", {Value::Int(7)}).ok());
+  ASSERT_EQ(kb.relation_version("r"), rolled_back_version);
+
+  std::shared_ptr<const Database> now = cache.Get(kb, "r");
+  ASSERT_NE(now, nullptr);
+  EXPECT_TRUE(now->Contains("r", Tuple({Value::Int(7)})));
+  EXPECT_FALSE(now->Contains("r", Tuple({Value::Int(99)})));
+  EXPECT_EQ(now->FactCount("r"), 2u);
 }
 
 TEST(SnapshotCacheTest, CommittedGuardKeepsNewVersionVisible) {
@@ -155,20 +184,6 @@ TEST(SnapshotCacheTest, CatalogRoleChangeReachesCacheViaControlFacts) {
       Tuple({Value::String("r"), Value::String("reference")})));
 }
 
-TEST(SnapshotCacheTest, InvalidateAndClear) {
-  KnowledgeBase kb = MakeKb();
-  SnapshotCache cache;
-  (void)cache.Get(kb, "r");
-  EXPECT_EQ(cache.size(), 1u);
-  cache.Invalidate("r");
-  EXPECT_EQ(cache.size(), 0u);
-  cache.Invalidate("r");  // idempotent; counts only real evictions
-  EXPECT_EQ(cache.stats().invalidations, 1u);
-  (void)cache.Get(kb, "r");
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-}
-
 TEST(SnapshotCacheTest, CountersReceiveHitsAndMisses) {
   KnowledgeBase kb = MakeKb();
   obs::MetricsRegistry registry;
@@ -194,7 +209,7 @@ TEST(SnapshotCacheTest, ConcurrentGetsAreConsistent) {
   EXPECT_EQ(bad.load(), 0);
   const SnapshotCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, 256u);
-  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.relations(), std::vector<std::string>{"r"});
 }
 
 }  // namespace
