@@ -17,7 +17,27 @@ Status DataContext::AddBinding(DataContextBinding binding) {
         "data context binding for " + binding.context_relation +
         " has no attribute correspondences");
   }
-  bindings_.push_back(std::move(binding));
+  DataContextBinding* into = nullptr;
+  for (DataContextBinding& b : bindings_) {
+    if (b.context_relation == binding.context_relation &&
+        b.kind == binding.kind) {
+      into = &b;
+      break;
+    }
+  }
+  if (into == nullptr) {
+    bindings_.push_back(
+        DataContextBinding{binding.context_relation, binding.kind, {}});
+    into = &bindings_.back();
+  }
+  for (ContextCorrespondence& c : binding.correspondences) {
+    bool known = false;
+    for (const ContextCorrespondence& k : into->correspondences) {
+      known = known || (k.target_attribute == c.target_attribute &&
+                        k.context_attribute == c.context_attribute);
+    }
+    if (!known) into->correspondences.push_back(std::move(c));
+  }
   return Status::OK();
 }
 
@@ -69,6 +89,23 @@ Relation DataContext::ToRelation(const std::string& relation_name) const {
     }
   }
   return rel;
+}
+
+Result<DataContext> DataContext::FromRelation(const Relation& relation) {
+  if (relation.schema().arity() != 4) {
+    return Status::InvalidArgument("relation " + relation.name() +
+                                   " is not a data_context relation");
+  }
+  DataContext context;
+  for (const Tuple& row : relation.rows()) {
+    Result<RelationRole> kind = RelationRoleFromName(row.at(1).ToString());
+    if (!kind.ok()) return kind.status();
+    VADA_RETURN_IF_ERROR(context.AddBinding(DataContextBinding{
+        row.at(0).ToString(),
+        kind.value(),
+        {{row.at(2).ToString(), row.at(3).ToString()}}}));
+  }
+  return context;
 }
 
 }  // namespace vada

@@ -35,6 +35,9 @@ class DataContext {
   DataContext() = default;
 
   /// Registers a binding. `kind` must be kReference, kMaster or kExample.
+  /// A context relation has one binding per kind: a binding for a
+  /// (relation, kind) pair already bound adds its correspondences to the
+  /// existing one, skipping those it already has.
   Status AddBinding(DataContextBinding binding);
 
   const std::vector<DataContextBinding>& bindings() const { return bindings_; }
@@ -57,6 +60,11 @@ class DataContext {
   /// Renders as KB relation data_context(context_relation, kind,
   /// target_attribute, context_attribute), one row per correspondence.
   Relation ToRelation(const std::string& relation_name = "data_context") const;
+
+  /// Decodes a relation ToRelation produced, keeping binding and
+  /// correspondence order: the rows of one (context relation, kind) pair
+  /// form one binding, as in AddBinding.
+  static Result<DataContext> FromRelation(const Relation& relation);
 
  private:
   std::vector<DataContextBinding> bindings_;

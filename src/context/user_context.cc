@@ -1,5 +1,7 @@
 #include "context/user_context.h"
 
+#include <set>
+
 #include "common/strings.h"
 #include "context/ahp.h"
 
@@ -113,15 +115,56 @@ Relation UserContext::ToRelation(const std::string& relation_name) const {
   Relation rel(Schema::Untyped(relation_name,
                                {"metric_more", "subject_more", "level",
                                 "metric_less", "subject_less"}));
+  auto add = [&rel](const Criterion& more, Importance level,
+                    const Criterion& less) {
+    rel.InsertUnchecked(Tuple({Value::String(more.metric),
+                               Value::String(more.subject),
+                               Value::Int(static_cast<int>(level)),
+                               Value::String(less.metric),
+                               Value::String(less.subject)}));
+  };
+  std::set<Criterion> named;
   for (const PairwiseStatement& s : statements_) {
-    Tuple t({Value::String(s.more_important.metric),
-             Value::String(s.more_important.subject),
-             Value::Int(static_cast<int>(s.level)),
-             Value::String(s.less_important.metric),
-             Value::String(s.less_important.subject)});
-    rel.InsertUnchecked(std::move(t));
+    add(s.more_important, s.level, s.less_important);
+    named.insert(s.more_important);
+    named.insert(s.less_important);
+  }
+  // A criterion no statement names still takes part in the weights
+  // (every unstated pair is "equally"), so it needs a row of its own.
+  for (const Criterion& c : criteria_) {
+    if (named.count(c) == 0) add(c, Importance::kEqual, c);
   }
   return rel;
+}
+
+Result<UserContext> UserContext::FromRelation(const Relation& relation) {
+  if (relation.schema().arity() != 5) {
+    return Status::InvalidArgument("relation " + relation.name() +
+                                   " is not a user_context relation");
+  }
+  UserContext context;
+  for (const Tuple& row : relation.rows()) {
+    const Value& level = row.at(2);
+    const bool known =
+        level.type() == ValueType::kInt &&
+        (level.int_value() == 1 || level.int_value() == 3 ||
+         level.int_value() == 5 || level.int_value() == 7 ||
+         level.int_value() == 9);
+    if (!known) {
+      return Status::InvalidArgument("unknown user_context level " +
+                                     level.ToString());
+    }
+    const Importance importance =
+        static_cast<Importance>(static_cast<int>(level.int_value()));
+    Criterion more{row.at(0).ToString(), row.at(1).ToString()};
+    Criterion less{row.at(3).ToString(), row.at(4).ToString()};
+    if (more == less) {
+      context.AddCriterion(more);
+    } else {
+      context.AddStatement(more, less, importance);
+    }
+  }
+  return context;
 }
 
 }  // namespace vada

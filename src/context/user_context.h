@@ -99,8 +99,14 @@ class UserContext {
 
   /// Renders the user context as a KB relation
   /// user_context(metric_more, subject_more, level, metric_less,
-  /// subject_less) so transducer dependencies can quantify over it.
+  /// subject_less) so transducer dependencies can quantify over it: one
+  /// row per statement, in order, then one row comparing a criterion with
+  /// itself for each criterion no statement names.
   Relation ToRelation(const std::string& relation_name = "user_context") const;
+
+  /// Decodes a relation ToRelation produced, keeping statement order;
+  /// criteria are registered in order of first mention.
+  static Result<UserContext> FromRelation(const Relation& relation);
 
  private:
   int IndexOf(const Criterion& criterion);  // registers if new

@@ -33,16 +33,16 @@ std::vector<const FeedbackItem*> FeedbackStore::ItemsForAttribute(
   return out;
 }
 
-Relation FeedbackStore::ToRelation(const std::string& relation_name) const {
-  Relation rel(
-      Schema::Untyped(relation_name, {"tuple_key", "attribute", "polarity"}));
-  for (const FeedbackItem& item : items_) {
-    rel.InsertUnchecked(
-        Tuple({Value::String(std::to_string(item.tuple.Hash())),
-               Value::String(item.attribute),
-               Value::String(FeedbackPolarityName(item.polarity))}));
-  }
-  return rel;
+Schema FeedbackStore::RelationSchema(const std::string& relation_name) {
+  return Schema::Untyped(relation_name,
+                         {"tuple_key", "attribute", "polarity", "seq"});
+}
+
+Tuple FeedbackStore::ToRow(const FeedbackItem& item, int64_t seq) {
+  return Tuple({Value::String(std::to_string(item.tuple.Hash())),
+                Value::String(item.attribute),
+                Value::String(FeedbackPolarityName(item.polarity)),
+                Value::Int(seq)});
 }
 
 }  // namespace vada

@@ -1,6 +1,7 @@
 #ifndef VADA_FEEDBACK_FEEDBACK_H_
 #define VADA_FEEDBACK_FEEDBACK_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -26,8 +27,10 @@ struct FeedbackItem {
 };
 
 /// Collects feedback and renders it as the KB control relation
-/// feedback(tuple_key, attribute, polarity), whose non-emptiness is the
-/// input dependency of feedback-driven transducers.
+/// feedback(tuple_key, attribute, polarity, seq), whose non-emptiness is
+/// the input dependency of feedback-driven transducers. `tuple_key` is a
+/// hash of the annotated tuple and `seq` the annotation's position, so a
+/// repeated annotation is a row of its own.
 class FeedbackStore {
  public:
   FeedbackStore() = default;
@@ -43,7 +46,10 @@ class FeedbackStore {
   std::vector<const FeedbackItem*> ItemsForAttribute(
       const std::string& attribute) const;
 
-  Relation ToRelation(const std::string& relation_name = "feedback") const;
+  /// Schema of the feedback relation.
+  static Schema RelationSchema(const std::string& relation_name = "feedback");
+  /// The row of `item` as the annotation at position `seq`.
+  static Tuple ToRow(const FeedbackItem& item, int64_t seq);
 
  private:
   std::vector<FeedbackItem> items_;

@@ -31,6 +31,7 @@ void KnowledgeBase::WillMutate(const std::string& name) {
 Status KnowledgeBase::CreateRelation(Schema schema) {
   VADA_RETURN_IF_ERROR(schema.Validate());
   const std::string name = schema.relation_name();
+  Touch(name);
   if (relations_.count(name) > 0) {
     return Status::AlreadyExists("relation " + name + " already exists");
   }
@@ -44,6 +45,7 @@ Status KnowledgeBase::CreateRelation(Schema schema) {
 }
 
 Status KnowledgeBase::EnsureRelation(const Schema& schema) {
+  Touch(schema.relation_name());
   auto it = relations_.find(schema.relation_name());
   if (it == relations_.end()) return CreateRelation(schema);
   if (!(it->second.schema() == schema)) {
@@ -56,10 +58,12 @@ Status KnowledgeBase::EnsureRelation(const Schema& schema) {
 }
 
 bool KnowledgeBase::HasRelation(const std::string& name) const {
+  Touch(name);
   return relations_.count(name) > 0;
 }
 
 const Relation* KnowledgeBase::FindRelation(const std::string& name) const {
+  Touch(name);
   auto it = relations_.find(name);
   return it == relations_.end() ? nullptr : &it->second;
 }
@@ -74,6 +78,7 @@ Result<const Relation*> KnowledgeBase::GetRelation(
 }
 
 Status KnowledgeBase::Insert(const std::string& relation_name, Tuple tuple) {
+  Touch(relation_name);
   auto it = relations_.find(relation_name);
   if (it == relations_.end()) {
     return Status::NotFound("relation " + relation_name +
@@ -126,6 +131,7 @@ Status KnowledgeBase::InsertAll(const Relation& relation) {
 
 Status KnowledgeBase::Retract(const std::string& relation_name,
                               const Tuple& tuple) {
+  Touch(relation_name);
   auto it = relations_.find(relation_name);
   if (it == relations_.end()) {
     return Status::NotFound("relation " + relation_name +
@@ -144,6 +150,7 @@ Status KnowledgeBase::Retract(const std::string& relation_name,
 }
 
 Status KnowledgeBase::ClearRelation(const std::string& relation_name) {
+  Touch(relation_name);
   auto it = relations_.find(relation_name);
   if (it == relations_.end()) {
     return Status::NotFound("relation " + relation_name +
@@ -167,6 +174,7 @@ Status KnowledgeBase::ClearRelation(const std::string& relation_name) {
 }
 
 Status KnowledgeBase::DropRelation(const std::string& name) {
+  Touch(name);
   auto it = relations_.find(name);
   if (it == relations_.end()) {
     return Status::NotFound("relation " + name + " not in knowledge base");
@@ -187,6 +195,7 @@ Status KnowledgeBase::DropRelation(const std::string& name) {
 }
 
 Status KnowledgeBase::ReplaceRelation(const Relation& relation) {
+  Touch(relation.name());
   auto it = relations_.find(relation.name());
   if (it == relations_.end()) {
     VADA_RETURN_IF_ERROR(CreateRelation(relation.schema()));
@@ -229,6 +238,9 @@ Status KnowledgeBase::ReplaceRelation(const Relation& relation) {
 
 Status KnowledgeBase::ReplaceRelationIfChanged(const Relation& relation,
                                                bool* changed) {
+  // Recorded even when nothing changes: the caller's output stays in its
+  // read set, so a later write by anyone else re-enables the caller.
+  Touch(relation.name());
   auto it = relations_.find(relation.name());
   if (it != relations_.end() && it->second.schema() == relation.schema() &&
       it->second.size() == relation.size()) {
@@ -249,17 +261,20 @@ Status KnowledgeBase::ReplaceRelationIfChanged(const Relation& relation,
 }
 
 uint64_t KnowledgeBase::relation_version(const std::string& name) const {
+  Touch(name);
   auto it = versions_.find(name);
   return it == versions_.end() ? 0 : it->second;
 }
 
 size_t KnowledgeBase::TotalRows() const {
+  if (access_log_ != nullptr) access_log_->whole_kb = true;
   size_t n = 0;
   for (const auto& [name, rel] : relations_) n += rel.size();
   return n;
 }
 
 std::vector<std::string> KnowledgeBase::RelationNames() const {
+  if (access_log_ != nullptr) access_log_->whole_kb = true;
   std::vector<std::string> out;
   out.reserve(relations_.size());
   for (const auto& [name, rel] : relations_) out.push_back(name);

@@ -9,6 +9,7 @@
 
 #include "common/status.h"
 #include "kb/catalog.h"
+#include "kb/read_set.h"
 #include "kb/relation.h"
 
 namespace vada {
@@ -27,6 +28,13 @@ class WriteGuard;
 /// transducer's input dependencies may have newly become satisfiable,
 /// which is how "a transducer ... becomes available for execution when
 /// that data is available in the knowledge base" is realised.
+///
+/// While an access log is attached (RecordAccesses), the KB records in it
+/// every relation a caller looks up — FindRelation, GetRelation,
+/// HasRelation, relation_version, EnsureRelation — or mutates, including
+/// a ReplaceRelationIfChanged that changes nothing. RelationNames() and
+/// TotalRows() record a whole-KB read. The orchestrator keys each
+/// transducer on what its last step recorded (DESIGN.md §5n).
 class KnowledgeBase {
  public:
   KnowledgeBase() = default;
@@ -102,11 +110,19 @@ class KnowledgeBase {
   uint64_t facts_added() const { return facts_added_; }
   uint64_t facts_removed() const { return facts_removed_; }
 
-  /// Total rows across all relations.
+  /// Total rows across all relations. Records a whole-KB read.
   size_t TotalRows() const;
 
-  /// All relation names, sorted.
+  /// All relation names, sorted. Records a whole-KB read.
   std::vector<std::string> RelationNames() const;
+
+  /// Attaches (nullptr: detaches) the log that records what callers read
+  /// and write, the catalog's accesses included (see the class comment).
+  /// Not owned. Attach only while no other thread uses this KB.
+  void RecordAccesses(ReadSet* log) {
+    access_log_ = log;
+    catalog_.access_log_ = log;
+  }
 
   Catalog& catalog() { return catalog_; }
   const Catalog& catalog() const { return catalog_; }
@@ -137,6 +153,11 @@ class KnowledgeBase {
 
   void Bump(const std::string& name);
 
+  /// Records `name` in the attached access log, if any.
+  void Touch(const std::string& name) const {
+    if (access_log_ != nullptr) access_log_->relations.insert(name);
+  }
+
   /// Mutation hook: every mutating method calls this with the relation
   /// about to change, before changing it, so an active WriteGuard can
   /// save the pre-image (copy-on-write rollback; see write_guard.h).
@@ -152,6 +173,7 @@ class KnowledgeBase {
   WriteGuard* guard_ = nullptr;  // active transaction guard; not owned
   DurabilityManager* durability_ = nullptr;  // WAL hook; not owned
   DeltaLog* delta_log_ = nullptr;  // incremental-consumer hook; not owned
+  ReadSet* access_log_ = nullptr;  // see RecordAccesses; not owned
 };
 
 }  // namespace vada

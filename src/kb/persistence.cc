@@ -19,16 +19,6 @@ Result<AttributeType> AttributeTypeFromName(const std::string& name) {
   return Status::ParseError("unknown attribute type " + name);
 }
 
-Result<RelationRole> RoleFromName(const std::string& name) {
-  for (RelationRole role :
-       {RelationRole::kSource, RelationRole::kTarget, RelationRole::kReference,
-        RelationRole::kMaster, RelationRole::kExample, RelationRole::kMetadata,
-        RelationRole::kResult}) {
-    if (name == RelationRoleName(role)) return role;
-  }
-  return Status::ParseError("unknown relation role " + name);
-}
-
 }  // namespace
 
 std::string EncodeCell(const Value& value) {
@@ -164,7 +154,7 @@ Result<KnowledgeBase> LoadKnowledgeBase(const std::string& directory) {
     }
     VADA_RETURN_IF_ERROR(kb.CreateRelation(Schema(name, attrs)));
     if (fields[1] != "-") {
-      Result<RelationRole> role = RoleFromName(fields[1]);
+      Result<RelationRole> role = RelationRoleFromName(fields[1]);
       if (!role.ok()) return role.status();
       kb.catalog().SetRole(name, role.value());
     }

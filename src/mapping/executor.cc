@@ -55,6 +55,12 @@ Result<Relation> MappingExecutor::ExecuteIncremental(
     const Mapping& mapping, const Schema& target, const KnowledgeBase& kb,
     const DeltaLog& log, double max_delta_fraction,
     MappingDeltaState* state) const {
+  // The sources' rows come from the delta log below, which a KB access
+  // log cannot see; looking each source up keeps it in the read set of
+  // the step executing this mapping.
+  for (const std::string& source : mapping.source_relations) {
+    (void)kb.HasRelation(source);
+  }
   // The maintained state is reusable only when it was built from this
   // rule text, no rollback rewound versions we already consumed, and
   // the log can answer every source's range exactly.

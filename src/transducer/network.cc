@@ -168,23 +168,6 @@ Status NetworkTransducer::SyncControlFactsIfStale(KnowledgeBase* kb) {
   return Status::OK();
 }
 
-bool NetworkTransducer::Dependency::MemoHolds(const KnowledgeBase& kb) const {
-  if (key.empty() || key[0] != kb.version_epoch()) return false;
-  for (size_t i = 0; i < read_set.size(); ++i) {
-    if (kb.relation_version(read_set[i]) != key[i + 1]) return false;
-  }
-  return true;
-}
-
-std::vector<uint64_t> NetworkTransducer::Dependency::KeyFor(
-    const KnowledgeBase& kb) const {
-  std::vector<uint64_t> k;
-  k.reserve(read_set.size() + 1);
-  k.push_back(kb.version_epoch());
-  for (const std::string& r : read_set) k.push_back(kb.relation_version(r));
-  return k;
-}
-
 Result<NetworkTransducer::Dependency*> NetworkTransducer::DependencyFor(
     const std::string& source) {
   auto it = dependencies_.find(source);
@@ -193,7 +176,9 @@ Result<NetworkTransducer::Dependency*> NetworkTransducer::DependencyFor(
     if (!program.ok()) return program.status();
     Dependency dep;
     dep.program = std::move(program).value();
-    dep.read_set = datalog::ReferencedRelations(dep.program);
+    for (std::string& name : datalog::ReferencedRelations(dep.program)) {
+      dep.reads.relations.insert(std::move(name));
+    }
     it = dependencies_.emplace(source, std::move(dep)).first;
   }
   return &it->second;
@@ -203,7 +188,7 @@ Result<bool> NetworkTransducer::IsSatisfied(const Transducer& transducer,
                                             KnowledgeBase* kb) {
   VADA_RETURN_IF_ERROR(SyncControlFactsIfStale(kb));
   Result<Dependency*> dep = DependencyFor(transducer.input_dependency());
-  if (dep.ok() && dep.value()->MemoHolds(*kb)) return dep.value()->ready;
+  if (dep.ok() && dep.value()->key.Holds(*kb)) return dep.value()->ready;
   Result<std::vector<Tuple>> ready =
       dep.ok() ? EvaluateDependency(*dep.value(), *kb) : dep.status();
   if (!ready.ok()) {
@@ -214,7 +199,7 @@ Result<bool> NetworkTransducer::IsSatisfied(const Transducer& transducer,
                   "input dependency of " + transducer.name() +
                       " failed to evaluate: " + ready.status().message());
   }
-  dep.value()->key = dep.value()->KeyFor(*kb);
+  dep.value()->key = ReadSetKey(*kb, dep.value()->reads);
   dep.value()->ready = !ready.value().empty();
   return dep.value()->ready;
 }
@@ -419,11 +404,12 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
       }
     }
 
-    // Eligibility: dependency satisfied AND the KB moved since last run
-    // AND not quarantined (open circuits sit out their cooldown). Three
-    // phases so the dependency queries — the expensive, read-only part —
-    // can run on the pool: (1) sequential gating, which mutates circuit
-    // bookkeeping; (2) query evaluation over the now-immutable KB,
+    // Eligibility: something the transducer's last step read or wrote
+    // moved AND dependency satisfied AND not quarantined (open circuits
+    // sit out their cooldown). Three phases so the dependency queries —
+    // the expensive, read-only part — can run on the pool: (1)
+    // sequential gating on circuits and transducer keys, which mutates
+    // circuit bookkeeping; (2) query evaluation over the now-immutable KB,
     // concurrent when a pool is configured; (3) sequential consumption
     // in registration order, so failure recording, abort behavior, and
     // the eligible order the policy sees match the inline path exactly.
@@ -461,10 +447,9 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
               fs->circuit == Circuit::kHalfOpen || fs->retry_scheduled;
         }
         if (!probation) {
-          auto it = last_run_version_.find(t->name());
-          if (it != last_run_version_.end() &&
-              it->second >= kb->global_version()) {
-            continue;  // nothing new since this transducer last ran
+          auto it = keys_.find(t->name());
+          if (it != keys_.end() && it->second.Holds(*kb)) {
+            continue;  // nothing it read or wrote has moved
           }
         }
         candidates.push_back(t.get());
@@ -478,12 +463,12 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         deps.push_back(DependencyFor(t->input_dependency()));
       }
       auto memo_holds = [&](size_t i) {
-        return deps[i].ok() && deps[i].value()->MemoHolds(*kb);
+        return deps[i].ok() && deps[i].value()->key.Holds(*kb);
       };
       std::vector<Result<std::vector<Tuple>>> ready(
           candidates.size(),
           Result<std::vector<Tuple>>(Status::Internal("not evaluated")));
-      std::vector<std::vector<uint64_t>> keys(candidates.size());
+      std::vector<ReadSetKey> keys(candidates.size());
       auto eval_dep = [&](size_t i) {
         // SpanCollector is thread-safe (per-thread lanes), so pool
         // workers record real spans — each worker lands on its own
@@ -494,7 +479,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
           ready[i] = deps[i].status();
           return;
         }
-        keys[i] = deps[i].value()->KeyFor(*kb);
+        keys[i] = ReadSetKey(*kb, deps[i].value()->reads);
         ready[i] = EvaluateDependency(*deps[i].value(), *kb);
       };
 
@@ -561,7 +546,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
           // execute failures: recorded, counted towards quarantine, and
           // the transducer is skipped instead of aborting the run.
           RecordFailure(t, dep_error, 1, step, kb, st, m);
-          last_run_version_[t->name()] = kb->global_version();
+          keys_[t->name()] = ReadSetKey::WholeKb(*kb);
           continue;
         }
         Dependency* dep = deps[i].value();
@@ -575,7 +560,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
       // more trial: benched ones with probe budget go half-open (this is
       // how a healed flaky transducer exits quarantine when nothing else
       // moves the KB), and closed ones with pending failures get a single
-      // version-gate bypass (each grant either succeeds — resetting the
+      // read-set key bypass (each grant either succeeds — resetting the
       // count — or moves them one failure closer to quarantine, so the
       // loop still terminates).
       if (fp.enabled) {
@@ -616,6 +601,8 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
 
     // Execute with retry: every attempt runs under a write-guard, so a
     // failed attempt leaves the KB exactly as it was (versions included).
+    // The KB records what each attempt reads and writes; the successful
+    // attempt's record becomes the transducer's key.
     const size_t max_attempts =
         fp.enabled ? std::max<size_t>(1, fp.max_attempts) : 1;
     uint64_t t0 = obs::MonotonicNanos();
@@ -623,6 +610,14 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
     size_t attempts = 0;
     bool rolled_back = false;
     double backoff_ms = fp.backoff_initial_ms;
+    ReadSet accessed;
+    auto execute = [&](ExecutionContext* ctx) {
+      accessed = ReadSet();
+      kb->RecordAccesses(&accessed);
+      Status status = chosen->Execute(kb, ctx);
+      kb->RecordAccesses(nullptr);
+      return status;
+    };
     for (attempts = 1; attempts <= max_attempts; ++attempts) {
       ExecutionContext ctx;
       ctx.set_attempt(attempts);
@@ -632,7 +627,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
                                    chosen->activity());
       if (fp.enabled) {
         WriteGuard guard(kb);
-        exec_status = chosen->Execute(kb, &ctx);
+        exec_status = execute(&ctx);
         if (exec_status.ok()) {
           guard.Commit();
           break;
@@ -646,7 +641,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         rolled_back = true;
         ++st->rollbacks;
       } else {
-        exec_status = chosen->Execute(kb, &ctx);
+        exec_status = execute(&ctx);
         if (exec_status.ok()) break;
       }
       if (attempts < max_attempts) {
@@ -665,11 +660,13 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
     attempts = std::min(attempts, max_attempts);
     uint64_t t1 = obs::MonotonicNanos();
 
-    // Record the version the transducer *saw* — its own writes count as
-    // new information (it re-runs once more and must reach a no-op, which
-    // is how non-idempotent transducer bugs surface at max_steps instead
-    // of silently converging on stale state).
-    last_run_version_[chosen->name()] = version_before;
+    // Key the transducer on what it read and wrote, versions taken after
+    // its own writes: it runs again only once one of them moves. (A
+    // transducer that is not idempotent therefore goes unnoticed here;
+    // tests audit idempotence instead.)
+    if (exec_status.ok()) {
+      keys_[chosen->name()] = ReadSetKey(*kb, std::move(accessed));
+    }
     ++st->steps;
     uint64_t version_after = kb->global_version();
     bool changed = version_after != version_before;
@@ -733,15 +730,16 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
                 " attempt(s): " + exec_status.message()));
       }
       // Wait for new information (or a quarantine probe) before trying
-      // this transducer again: otherwise its own failure facts would make
-      // it immediately eligible in a failure loop.
-      last_run_version_[chosen->name()] = kb->global_version();
+      // this transducer again: keying it on the whole KB after its own
+      // failure facts keeps it out of a failure loop.
+      keys_[chosen->name()] = ReadSetKey::WholeKb(*kb);
     }
   }
   return finalize(Status::Internal(
       "orchestration exceeded max_steps (" +
       std::to_string(options_.max_steps) +
-      "); a registered transducer is likely not idempotent"));
+      "); registered transducers likely keep changing each other's "
+      "inputs"));
 }
 
 }  // namespace vada

@@ -117,13 +117,15 @@ struct OrchestrationStats {
 /// The dynamic orchestrator (the paper's network transducer). Repeatedly:
 ///  1. materialises the sys_* control relations describing the KB
 ///     (sys_relation_role, sys_relation_nonempty, sys_relation_attribute);
-///  2. finds eligible transducers: input dependency derives `ready` AND
-///     the KB changed since the transducer last ran AND the transducer is
-///     not quarantined. A dependency answer is memoised against the
-///     versions of the relations its query reads and re-evaluated only
-///     when one of them moved (DESIGN.md §5l);
+///  2. finds eligible transducers: a relation or role the transducer's
+///     last step read or wrote has moved since (its read-set key no
+///     longer holds; DESIGN.md §5n) AND its input dependency derives
+///     `ready` AND it is not quarantined. A dependency answer is
+///     memoised on the same key type, over the relations its query reads,
+///     and re-evaluated only when one of them moved (DESIGN.md §5l);
 ///  3. lets the scheduling policy pick one and executes it under a
-///     KB write-guard, retrying failed attempts per the failure policy;
+///     KB write-guard, retrying failed attempts per the failure policy,
+///     while the KB records what the step reads and writes;
 /// until no transducer is eligible (fixpoint), max_steps is hit, or the
 /// wall-clock budget runs out (best-effort stop).
 ///
@@ -150,7 +152,7 @@ class NetworkTransducer {
     size_t cooldown_progress = 0;  ///< scans sat out while open
     size_t probes_used = 0;        ///< half-open probes spent this Run
     /// Fixpoint retry granted to a closed circuit with pending failures
-    /// (skips the version gate once); cleared on the next execution.
+    /// (skips the read-set key once); cleared on the next execution.
     bool retry_scheduled = false;
     std::string last_error;
   };
@@ -205,22 +207,16 @@ class NetworkTransducer {
 
   /// One distinct dependency-query text: its parsed program, the KB
   /// relations the program reads, and its memoised answer. The answer is
-  /// a pure function of the read set's contents, which the KB version
-  /// epoch plus each read relation's version identify; so while `key`
-  /// still matches the KB, `ready` is the answer and no query runs.
+  /// a pure function of the read set's contents; so while `key` still
+  /// holds, `ready` is the answer and no query runs.
   struct Dependency {
     datalog::Program program;
-    std::vector<std::string> read_set;  ///< datalog::ReferencedRelations
-    /// Empty until the first successful evaluation; then the version
-    /// epoch followed by the read set's versions (in read_set order) at
-    /// that evaluation. Failed evaluations are never memoised.
-    std::vector<uint64_t> key;
+    ReadSet reads;  ///< datalog::ReferencedRelations
+    /// Empty until the first successful evaluation; then the read set's
+    /// versions at that evaluation. Failed evaluations are never
+    /// memoised.
+    ReadSetKey key;
     bool ready = false;
-
-    /// Whether the memoised answer still holds for `kb`.
-    bool MemoHolds(const KnowledgeBase& kb) const;
-    /// The key of `kb`'s current read-set contents.
-    std::vector<uint64_t> KeyFor(const KnowledgeBase& kb) const;
   };
 
   /// Evaluates `dep`'s query over `kb` with the orchestrator's planner
@@ -238,7 +234,9 @@ class NetworkTransducer {
   std::unique_ptr<SchedulingPolicy> policy_;
   OrchestratorOptions options_;
   ExecutionTrace trace_;
-  std::map<std::string, uint64_t> last_run_version_;
+  /// Per transducer: the versions of what its last step read and wrote
+  /// (the whole KB after a failure). Absent until its first step.
+  std::map<std::string, ReadSetKey> keys_;
   std::map<std::string, FailureState> failure_state_;
   std::map<std::string, Dependency> dependencies_;
   uint64_t control_synced_at_version_ = 0;

@@ -16,6 +16,10 @@ struct TraceEvent {
   std::string activity;
   /// Name of the scheduling policy that made the choice.
   std::string policy;
+  /// Transducers whose dependency held and whose read-set key had moved
+  /// (or that had none yet, or were on probation), in registration
+  /// order; a transducer whose key still held is absent even when its
+  /// dependency held (DESIGN.md §5n).
   std::vector<std::string> eligible;
   uint64_t version_before = 0;
   uint64_t version_after = 0;

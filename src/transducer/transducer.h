@@ -20,10 +20,16 @@ namespace vada {
 /// the transducer becomes executable when `ready` derives a fact.
 ///
 /// Contract for Execute():
-///  * read/write the knowledge base only through its API;
+///  * read/write the knowledge base only through its API, and make the
+///    writes a function of what was read through it. The orchestrator
+///    runs a transducer again only once a relation (or catalog role) its
+///    last step read or wrote has moved (DESIGN.md §5n), so an input kept
+///    outside the KB is never noticed to change. In-memory state is
+///    allowed only as a cache keyed on KB versions (ReadSetKey) or as
+///    the transducer's own memo;
 ///  * be idempotent — re-running on unchanged inputs must not change the
-///    KB (use ReplaceRelationIfChanged); this is what makes the dynamic
-///    orchestration terminate;
+///    KB (use ReplaceRelationIfChanged). The orchestrator does not re-run
+///    a step to check this; tests audit it (tests/fixpoint_auditor.h);
 ///  * on failure, return a non-OK Status and rely on the orchestrator's
 ///    write-guard to roll partial writes back — never half-repair the KB;
 ///  * long-running bodies should poll ExecutionContext::CheckContinue()

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -17,6 +18,7 @@
 #include "feedback/propagation.h"
 #include "kb/delta_log.h"
 #include "kb/durability.h"
+#include "kb/read_set.h"
 #include "mapping/executor.h"
 #include "mapping/generator.h"
 #include "mapping/selector.h"
@@ -154,36 +156,40 @@ struct WranglerConfig {
   std::string session_name = "wrangling-session";
 };
 
+/// CFDs learned from the data context's reference and master bindings,
+/// with the evidence relation the checker needs (the first learnable
+/// binding's instances in target vocabulary), cached under the versions
+/// of the relations the learner read (see LearnedCfdsOf).
+struct LearnedCfds {
+  ReadSetKey key;
+  std::vector<Cfd> cfds;
+  std::optional<Relation> evidence;
+};
+
 /// Mutable state shared by the standard transducers and the session that
-/// owns them. The knowledge base remains the source of truth for
-/// everything Datalog-visible (matches, mappings, metrics, feedback
-/// existence); this struct holds the richer C++ objects behind them.
+/// owns them. Transducer bodies take their inputs — target, sources, data
+/// context, user context, metadata — from the knowledge base, so a body's
+/// writes are a function of what it read through the KB (DESIGN.md §5n);
+/// feedback propagation is gated on the KB's feedback relation. This
+/// struct holds configuration, caches keyed on KB versions, transducer
+/// memos and counters.
 struct WranglingState {
   WranglerConfig config;
   /// Name of the target-schema relation registered in the KB.
   std::string target_relation;
-  DataContext data_context;
-  UserContext user_context;
+  /// The feedback items themselves; the KB's feedback relation holds one
+  /// row per item (a hash of the tuple, not the tuple).
   FeedbackStore feedback;
-  /// CFDs learned by the cfd_learning transducer (KB holds the serialised
-  /// form; this cache holds the evidence relation the checker needs).
-  std::vector<Cfd> cfds;
-  Relation cfd_evidence;
-  bool has_cfd_evidence = false;
-  /// Memoised feedback lineage: once an annotation is attributed to the
-  /// matches that fed it, the attribution is permanent — even after the
-  /// resulting penalty changes the mappings (see MatchAttribution docs).
+  /// Memoised feedback lineage, feedback_propagation's own memo: once an
+  /// annotation is attributed to the matches that fed it, the attribution
+  /// is permanent — even after the resulting penalty changes the
+  /// mappings (see MatchAttribution docs).
   std::vector<MatchAttribution> feedback_attributions;
   std::set<size_t> attributed_feedback_items;
-  /// Per-transducer-body fingerprint of the (name, version) pairs of
-  /// every relation the body read or wrote, taken at the end of its last
-  /// successful run. The orchestrator re-runs a ready transducer
-  /// whenever *anything* in the KB changed; bodies use this memo to
-  /// narrow that to their own read/write set and skip recomputation
-  /// that would reproduce the KB byte for byte (see UpToDate in
-  /// standard_transducers.cc).
-  std::map<std::string, std::vector<std::pair<std::string, uint64_t>>>
-      body_run_versions;
+  /// Cache of the CFDs learned from the data context; cfd_learning,
+  /// mapping_repair, quality_metrics, source_quality and the session's
+  /// quality estimate share it.
+  LearnedCfds learned_cfds;
   /// The session's KB change log when config.incremental.enabled (the
   /// session owns the log and attaches it to the KB); nullptr otherwise.
   DeltaLog* delta_log = nullptr;

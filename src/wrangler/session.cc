@@ -137,18 +137,19 @@ Status WranglingSession::AddSource(const Relation& data) {
 Status WranglingSession::AddDataContext(
     const Relation& data, RelationRole kind,
     std::vector<ContextCorrespondence> correspondences) {
+  // The bindings live only in the data_context relation (the one the
+  // transducer dependencies quantify over and the bodies decode), so a
+  // recovered session keeps them.
+  Result<DataContext> context = ReadDataContext(kb_);
+  if (!context.ok()) return context.status();
   DataContextBinding binding;
   binding.context_relation = data.name();
   binding.kind = kind;
   binding.correspondences = std::move(correspondences);
-  VADA_RETURN_IF_ERROR(state_->data_context.AddBinding(binding));
+  VADA_RETURN_IF_ERROR(context.value().AddBinding(std::move(binding)));
   VADA_RETURN_IF_ERROR(kb_.InsertAll(data));
   kb_.catalog().SetRole(data.name(), kind);
-  // Publish the bindings as the data_context control relation the
-  // transducer dependencies quantify over.
-  VADA_RETURN_IF_ERROR(
-      kb_.ReplaceRelationIfChanged(state_->data_context.ToRelation()));
-  return Status::OK();
+  return kb_.ReplaceRelationIfChanged(context.value().ToRelation());
 }
 
 Status WranglingSession::SetUserContext(const UserContext& user_context) {
@@ -157,13 +158,35 @@ Status WranglingSession::SetUserContext(const UserContext& user_context) {
     Result<CriterionWeights> weights = user_context.DeriveWeights();
     if (!weights.ok()) return weights.status();
   }
-  state_->user_context = user_context;
-  return kb_.ReplaceRelationIfChanged(state_->user_context.ToRelation());
+  return kb_.ReplaceRelationIfChanged(user_context.ToRelation());
 }
 
 Status WranglingSession::AddFeedback(const FeedbackItem& item) {
+  // Appends one row rather than rewriting the relation: a repeated
+  // annotation gets its own `seq`, so it moves the relation and feedback
+  // propagation runs for it.
+  const Schema schema = FeedbackStore::RelationSchema();
+  const std::string& name = schema.relation_name();
+  // A durable directory written before the `seq` column existed recovers
+  // feedback(tuple_key, attribute, polarity): number its rows in order.
+  const Relation* old = kb_.FindRelation(name);
+  if (old != nullptr &&
+      old->schema() ==
+          Schema::Untyped(name, {"tuple_key", "attribute", "polarity"})) {
+    Relation numbered(schema);
+    for (const Tuple& row : old->rows()) {
+      VADA_RETURN_IF_ERROR(numbered.InsertUnchecked(
+          Tuple({row.at(0), row.at(1), row.at(2),
+                 Value::Int(static_cast<int64_t>(numbered.size()))})));
+    }
+    VADA_RETURN_IF_ERROR(kb_.DropRelation(name));
+    VADA_RETURN_IF_ERROR(kb_.ReplaceRelation(numbered));
+  }
+  VADA_RETURN_IF_ERROR(kb_.EnsureRelation(schema));
+  const int64_t seq = static_cast<int64_t>(kb_.FindRelation(name)->size());
+  VADA_RETURN_IF_ERROR(kb_.Insert(name, FeedbackStore::ToRow(item, seq)));
   state_->feedback.Add(item);
-  return kb_.ReplaceRelationIfChanged(state_->feedback.ToRelation());
+  return Status::OK();
 }
 
 Status WranglingSession::AddTransducer(std::unique_ptr<Transducer> transducer) {
@@ -427,19 +450,23 @@ Result<RelationQuality> WranglingSession::EstimateResultQuality() const {
   if (res == nullptr) {
     return Status::FailedPrecondition("no result yet: call Run first");
   }
+  Result<DataContext> context = ReadDataContext(kb_);
+  if (!context.ok()) return context.status();
+  Result<const LearnedCfds*> learned = LearnedCfdsOf(state_.get(), kb_);
+  if (!learned.ok()) return learned.status();
   QualityEstimator estimator;
   for (const DataContextBinding* binding :
-       state_->data_context.BindingsOfKind(RelationRole::kReference)) {
+       context.value().BindingsOfKind(RelationRole::kReference)) {
     const Relation* ref = kb_.FindRelation(binding->context_relation);
     if (ref != nullptr && !ref->empty()) {
       estimator.SetReference(ref, binding->correspondences);
       break;
     }
   }
-  if (!state_->cfds.empty()) {
-    estimator.SetCfds(state_->cfds, state_->has_cfd_evidence
-                                        ? &state_->cfd_evidence
-                                        : nullptr);
+  const LearnedCfds& cfds = *learned.value();
+  if (!cfds.cfds.empty()) {
+    estimator.SetCfds(cfds.cfds,
+                      cfds.evidence.has_value() ? &*cfds.evidence : nullptr);
   }
   return estimator.Estimate(*res);
 }

@@ -66,7 +66,9 @@ class WranglingSession {
 
   /// Associates data-context data with the target schema. `kind` must be
   /// kReference, kMaster or kExample; `correspondences` map target
-  /// attributes to `data`'s attributes.
+  /// attributes to `data`'s attributes. A relation has one binding per
+  /// kind: calling again with the same relation and kind adds `data`'s
+  /// rows and the new correspondences to it (DataContext::AddBinding).
   Status AddDataContext(const Relation& data, RelationRole kind,
                         std::vector<ContextCorrespondence> correspondences);
 

@@ -62,41 +62,6 @@ Status WriteMetadataRelation(KnowledgeBase* kb, const Relation& rel) {
   return Status::OK();
 }
 
-/// (name, version) fingerprint of `relations` (version 0 = absent).
-std::vector<std::pair<std::string, uint64_t>> VersionFingerprint(
-    const KnowledgeBase& kb, const std::vector<std::string>& relations) {
-  std::vector<std::pair<std::string, uint64_t>> fp;
-  fp.reserve(relations.size());
-  for (const std::string& r : relations) {
-    fp.emplace_back(r, kb.relation_version(r));
-  }
-  return fp;
-}
-
-/// True when every relation `body` reads or writes still has the version
-/// recorded at the end of its last successful run — re-running would
-/// reproduce the KB byte for byte, so the caller may return immediately.
-/// The orchestrator re-runs a ready transducer whenever *anything* in
-/// the KB changed; this narrows that test to the body's own read/write
-/// set. Output relations belong in `relations` too: if a rollback or
-/// another writer touched them, their version moved and the body
-/// recomputes. Bodies whose inputs include non-KB state (feedback,
-/// user context) must not use this unless that state is mirrored in a
-/// listed relation.
-bool UpToDate(const WranglingState& state, const KnowledgeBase& kb,
-              const std::string& body,
-              const std::vector<std::string>& relations) {
-  auto it = state.body_run_versions.find(body);
-  return it != state.body_run_versions.end() &&
-         it->second == VersionFingerprint(kb, relations);
-}
-
-/// Records the post-run fingerprint for `body` (call after all writes).
-void RecordRun(WranglingState* state, const KnowledgeBase& kb,
-               const std::string& body,
-               const std::vector<std::string>& relations) {
-  state->body_run_versions[body] = VersionFingerprint(kb, relations);
-}
 
 // ---------------------------------------------------------------------------
 // Transducer bodies.
@@ -120,18 +85,14 @@ Status SchemaMatchingBody(WranglingState* state, KnowledgeBase* kb) {
 Status InstanceMatchingBody(WranglingState* state, KnowledgeBase* kb) {
   Result<Schema> target = TargetSchema(*kb, *state);
   if (!target.ok()) return target.status();
-  std::vector<std::string> deps{state->target_relation, "match_instance"};
-  for (const std::string& source : SourceNames(*kb)) deps.push_back(source);
-  for (const DataContextBinding& binding : state->data_context.bindings()) {
-    deps.push_back(binding.context_relation);
-  }
-  if (UpToDate(*state, *kb, "instance_matching", deps)) return Status::OK();
+  Result<DataContext> context = ReadDataContext(*kb);
+  if (!context.ok()) return context.status();
   InstanceMatcher matcher(state->config.instance_matcher);
   std::vector<MatchCandidate> all;
   for (const std::string& source : SourceNames(*kb)) {
     const Relation* src = kb->FindRelation(source);
     if (src == nullptr || src->empty()) continue;
-    for (const DataContextBinding& binding : state->data_context.bindings()) {
+    for (const DataContextBinding& binding : context.value().bindings()) {
       const Relation* ctx = kb->FindRelation(binding.context_relation);
       if (ctx == nullptr || ctx->empty()) continue;
       std::vector<std::pair<std::string, std::string>> rename;
@@ -148,10 +109,8 @@ Status InstanceMatchingBody(WranglingState* state, KnowledgeBase* kb) {
       }
     }
   }
-  VADA_RETURN_IF_ERROR(WriteMetadataRelation(
-      kb, MatchesToRelation(BestPerPair(std::move(all)), "match_instance")));
-  RecordRun(state, *kb, "instance_matching", deps);
-  return Status::OK();
+  return WriteMetadataRelation(
+      kb, MatchesToRelation(BestPerPair(std::move(all)), "match_instance"));
 }
 
 Status MatchCombinationBody(WranglingState* state, KnowledgeBase* kb) {
@@ -207,13 +166,6 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
   if (!target.ok()) return target.status();
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-  std::vector<std::string> deps{state->target_relation, "mapping"};
-  for (const Mapping& m : mappings.value()) {
-    deps.insert(deps.end(), m.source_relations.begin(),
-                m.source_relations.end());
-    deps.push_back(m.result_predicate);
-  }
-  if (UpToDate(*state, *kb, "mapping_execution", deps)) return Status::OK();
   MappingExecutor executor(state->config.planner);
   executor.set_snapshot_cache(&state->snapshot_cache);
   const bool incremental =
@@ -238,70 +190,24 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
                                      : state->mapping_delta.erase(it);
     }
   }
-  RecordRun(state, *kb, "mapping_execution", deps);
   return Status::OK();
 }
 
 Status CfdLearningBody(WranglingState* state, KnowledgeBase* kb) {
-  CfdLearner learner(state->config.cfd_learner);
-  std::vector<Cfd> cfds;
-  Relation evidence;
-  bool have_evidence = false;
-
-  for (const DataContextBinding& binding : state->data_context.bindings()) {
-    if (binding.kind != RelationRole::kReference &&
-        binding.kind != RelationRole::kMaster) {
-      continue;
-    }
-    if (binding.correspondences.size() < 2) continue;  // no pair to relate
-    const Relation* ctx = kb->FindRelation(binding.context_relation);
-    if (ctx == nullptr || ctx->empty()) continue;
-
-    // Project onto corresponded attributes, renamed into the target
-    // vocabulary, so learned CFDs speak about target attributes.
-    std::vector<std::string> ctx_attrs;
-    std::vector<Attribute> tgt_attrs;
-    for (const ContextCorrespondence& c : binding.correspondences) {
-      ctx_attrs.push_back(c.context_attribute);
-      tgt_attrs.push_back(Attribute{c.target_attribute, AttributeType::kAny});
-    }
-    Result<Relation> projected = ctx->Project(
-        ctx_attrs, "cfd_learning_" + binding.context_relation);
-    if (!projected.ok()) return projected.status();
-    Relation renamed(
-        Schema("cfd_learning_" + binding.context_relation, tgt_attrs));
-    for (const Tuple& row : projected.value().rows()) {
-      VADA_RETURN_IF_ERROR(renamed.InsertUnchecked(row));
-    }
-
-    std::vector<Cfd> learned = learner.Learn(renamed);
-    cfds.insert(cfds.end(), learned.begin(), learned.end());
-    if (!have_evidence) {
-      evidence = std::move(renamed);
-      have_evidence = true;
-    }
-  }
-
-  state->cfds = cfds;
-  state->cfd_evidence = std::move(evidence);
-  state->has_cfd_evidence = have_evidence;
-  return WriteMetadataRelation(kb, CfdsToRelation(cfds));
+  Result<const LearnedCfds*> learned = LearnedCfdsOf(state, *kb);
+  if (!learned.ok()) return learned.status();
+  return WriteMetadataRelation(kb, CfdsToRelation(learned.value()->cfds));
 }
 
 Status MappingRepairBody(WranglingState* state, KnowledgeBase* kb) {
-  if (state->cfds.empty()) return Status::OK();
+  Result<const LearnedCfds*> learned = LearnedCfdsOf(state, *kb);
+  if (!learned.ok()) return learned.status();
+  const LearnedCfds& cfds = *learned.value();
+  if (cfds.cfds.empty()) return Status::OK();
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-  // state->cfds / cfd_evidence are mirrored by the "cfd" relation, which
-  // cfd_learning rewrites whenever they change.
-  std::vector<std::string> deps{"cfd", "mapping"};
-  for (const Mapping& m : mappings.value()) {
-    deps.push_back(m.result_predicate);
-    deps.push_back("repaired_" + m.id);
-  }
-  if (UpToDate(*state, *kb, "mapping_repair", deps)) return Status::OK();
-  CfdChecker checker(state->cfds,
-                     state->has_cfd_evidence ? &state->cfd_evidence : nullptr);
+  CfdChecker checker(cfds.cfds,
+                     cfds.evidence.has_value() ? &*cfds.evidence : nullptr);
   for (const Mapping& m : mappings.value()) {
     const Relation* raw = kb->FindRelation(m.result_predicate);
     if (raw == nullptr) continue;
@@ -313,41 +219,35 @@ Status MappingRepairBody(WranglingState* state, KnowledgeBase* kb) {
     if (!count.ok()) return count.status();
     VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, repaired));
   }
-  RecordRun(state, *kb, "mapping_repair", deps);
   return Status::OK();
 }
 
 Status QualityMetricsBody(WranglingState* state, KnowledgeBase* kb) {
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-
-  std::vector<std::string> deps{"mapping", "cfd", "quality_metric"};
-  for (const DataContextBinding& binding : state->data_context.bindings()) {
-    deps.push_back(binding.context_relation);
-  }
-  for (const Mapping& m : mappings.value()) {
-    deps.push_back(m.result_predicate);
-    deps.push_back("repaired_" + m.id);
-  }
-  if (UpToDate(*state, *kb, "quality_metrics", deps)) return Status::OK();
+  Result<DataContext> context = ReadDataContext(*kb);
+  if (!context.ok()) return context.status();
+  Result<const LearnedCfds*> learned = LearnedCfdsOf(state, *kb);
+  if (!learned.ok()) return learned.status();
+  const LearnedCfds& cfds = *learned.value();
 
   QualityEstimator estimator;
   // Accuracy reference: the first reference binding with instances.
   for (const DataContextBinding* binding :
-       state->data_context.BindingsOfKind(RelationRole::kReference)) {
+       context.value().BindingsOfKind(RelationRole::kReference)) {
     const Relation* ref = kb->FindRelation(binding->context_relation);
     if (ref != nullptr && !ref->empty()) {
       estimator.SetReference(ref, binding->correspondences);
       break;
     }
   }
-  if (!state->cfds.empty()) {
-    estimator.SetCfds(state->cfds,
-                      state->has_cfd_evidence ? &state->cfd_evidence : nullptr);
+  if (!cfds.cfds.empty()) {
+    estimator.SetCfds(cfds.cfds,
+                      cfds.evidence.has_value() ? &*cfds.evidence : nullptr);
   }
   // Relevance: the first master binding with instances.
   for (const DataContextBinding* binding :
-       state->data_context.BindingsOfKind(RelationRole::kMaster)) {
+       context.value().BindingsOfKind(RelationRole::kMaster)) {
     const Relation* master = kb->FindRelation(binding->context_relation);
     if (master != nullptr && !master->empty()) {
       estimator.SetMaster(master, binding->correspondences);
@@ -362,20 +262,20 @@ Status QualityMetricsBody(WranglingState* state, KnowledgeBase* kb) {
     std::vector<QualityMetricFact> part = estimator.EstimateFacts(*rel, m.id);
     facts.insert(facts.end(), part.begin(), part.end());
   }
-  VADA_RETURN_IF_ERROR(
-      WriteMetadataRelation(kb, QualityMetricsToRelation(facts)));
-  RecordRun(state, *kb, "quality_metrics", deps);
-  return Status::OK();
+  return WriteMetadataRelation(kb, QualityMetricsToRelation(facts));
 }
 
 Status SourceQualityBody(WranglingState* state, KnowledgeBase* kb) {
+  Result<const LearnedCfds*> learned = LearnedCfdsOf(state, *kb);
+  if (!learned.ok()) return learned.status();
+  const LearnedCfds& cfds = *learned.value();
   QualityEstimator estimator;
   // Source attribute names generally differ from the target vocabulary,
   // so accuracy-vs-reference does not apply here; completeness (and
   // consistency once CFDs exist on matching attribute names) does.
-  if (!state->cfds.empty()) {
-    estimator.SetCfds(state->cfds,
-                      state->has_cfd_evidence ? &state->cfd_evidence : nullptr);
+  if (!cfds.cfds.empty()) {
+    estimator.SetCfds(cfds.cfds,
+                      cfds.evidence.has_value() ? &*cfds.evidence : nullptr);
   }
   std::vector<QualityMetricFact> facts;
   for (const std::string& source : SourceNames(*kb)) {
@@ -445,9 +345,15 @@ Status MappingSelectionBody(WranglingState* state, KnowledgeBase* kb) {
     if (ids.count(f.entity) > 0) mapping_metrics.push_back(std::move(f));
   }
 
+  UserContext user_context;
+  if (const Relation* rel = kb->FindRelation("user_context")) {
+    Result<UserContext> decoded = UserContext::FromRelation(*rel);
+    if (!decoded.ok()) return decoded.status();
+    user_context = std::move(decoded).value();
+  }
   std::optional<CriterionWeights> weights;
-  if (!state->user_context.empty()) {
-    Result<CriterionWeights> derived = state->user_context.DeriveWeights();
+  if (!user_context.empty()) {
+    Result<CriterionWeights> derived = user_context.DeriveWeights();
     if (!derived.ok()) return derived.status();
     weights = std::move(derived).value();
   }
@@ -479,14 +385,6 @@ Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
   if (!target.ok()) return target.status();
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-  std::vector<std::string> deps{state->target_relation, "mapping",
-                                "selected_mapping", "source_trust",
-                                state->config.result_relation};
-  for (const Mapping& m : mappings.value()) {
-    deps.push_back(m.result_predicate);
-    deps.push_back("repaired_" + m.id);
-  }
-  if (UpToDate(*state, *kb, "fusion", deps)) return Status::OK();
   const Relation* selected_rel = kb->FindRelation("selected_mapping");
   if (selected_rel == nullptr) return Status::OK();
   std::set<std::string> selected;
@@ -560,12 +458,20 @@ Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
 
   VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(fused.value()));
   kb->catalog().SetRole(state->config.result_relation, RelationRole::kResult);
-  RecordRun(state, *kb, "fusion", deps);
   return Status::OK();
 }
 
 Status FeedbackPropagationBody(WranglingState* state, KnowledgeBase* kb) {
-  if (state->feedback.empty()) return Status::OK();
+  // The relation gates the body (each annotation adds a row, a repeated
+  // one included); the items themselves live in the session's store. A
+  // reopened durable session recovers the relation and match_penalty but
+  // starts with an empty store: keep the recovered penalties until new
+  // feedback arrives. Only AddFeedback fills the store, and it always
+  // moves the relation, so the relation stays this body's key.
+  const Relation* feedback = kb->FindRelation("feedback");
+  if (feedback == nullptr || feedback->empty() || state->feedback.empty()) {
+    return Status::OK();
+  }
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
 
@@ -711,6 +617,60 @@ Status RegisterStandardTransducers(TransducerRegistry* registry,
       state, &FeedbackPropagationBody)));
 
   return Status::OK();
+}
+
+Result<DataContext> ReadDataContext(const KnowledgeBase& kb) {
+  const Relation* rel = kb.FindRelation("data_context");
+  if (rel == nullptr) return DataContext();
+  return DataContext::FromRelation(*rel);
+}
+
+Result<const LearnedCfds*> LearnedCfdsOf(WranglingState* state,
+                                         const KnowledgeBase& kb) {
+  LearnedCfds& cache = state->learned_cfds;
+  if (cache.key.Holds(kb)) return &cache;
+  Result<DataContext> context = ReadDataContext(kb);
+  if (!context.ok()) return context.status();
+  ReadSet reads;
+  reads.relations.insert("data_context");
+  CfdLearner learner(state->config.cfd_learner);
+  std::vector<Cfd> cfds;
+  std::optional<Relation> evidence;
+  for (const DataContextBinding& binding : context.value().bindings()) {
+    if (binding.kind != RelationRole::kReference &&
+        binding.kind != RelationRole::kMaster) {
+      continue;
+    }
+    if (binding.correspondences.size() < 2) continue;  // no pair to relate
+    reads.relations.insert(binding.context_relation);
+    const Relation* ctx = kb.FindRelation(binding.context_relation);
+    if (ctx == nullptr || ctx->empty()) continue;
+
+    // Project onto corresponded attributes, renamed into the target
+    // vocabulary, so learned CFDs speak about target attributes.
+    std::vector<std::string> ctx_attrs;
+    std::vector<Attribute> tgt_attrs;
+    for (const ContextCorrespondence& c : binding.correspondences) {
+      ctx_attrs.push_back(c.context_attribute);
+      tgt_attrs.push_back(Attribute{c.target_attribute, AttributeType::kAny});
+    }
+    Result<Relation> projected = ctx->Project(
+        ctx_attrs, "cfd_learning_" + binding.context_relation);
+    if (!projected.ok()) return projected.status();
+    Relation renamed(
+        Schema("cfd_learning_" + binding.context_relation, tgt_attrs));
+    for (const Tuple& row : projected.value().rows()) {
+      VADA_RETURN_IF_ERROR(renamed.InsertUnchecked(row));
+    }
+
+    std::vector<Cfd> learned = learner.Learn(renamed);
+    cfds.insert(cfds.end(), learned.begin(), learned.end());
+    if (!evidence.has_value()) evidence = std::move(renamed);
+  }
+  cache.key = ReadSetKey(kb, std::move(reads));
+  cache.cfds = std::move(cfds);
+  cache.evidence = std::move(evidence);
+  return &cache;
 }
 
 }  // namespace vada

@@ -31,6 +31,18 @@ namespace vada {
 Status RegisterStandardTransducers(TransducerRegistry* registry,
                                    WranglingState* state);
 
+/// The data-context bindings decoded from `kb`'s data_context relation
+/// (none before the first AddDataContext).
+Result<DataContext> ReadDataContext(const KnowledgeBase& kb);
+
+/// The CFDs learned from `kb`'s data context: its `data_context` relation
+/// and the reference and master relations it binds. Served from
+/// `state->learned_cfds` while the versions of those relations hold, and
+/// relearned (and re-cached) otherwise; either way the reads land in an
+/// attached access log.
+Result<const LearnedCfds*> LearnedCfdsOf(WranglingState* state,
+                                         const KnowledgeBase& kb);
+
 }  // namespace vada
 
 #endif  // VADA_WRANGLER_STANDARD_TRANSDUCERS_H_

@@ -150,6 +150,47 @@ TEST(UserContextTest, ToRelationRows) {
   EXPECT_EQ(rel.rows()[0].at(2), Value::Int(5));
 }
 
+TEST(UserContextTest, FromRelationRoundTripsStatementsAndCriteria) {
+  UserContext uc;
+  ASSERT_TRUE(uc.AddStatement("completeness", "crimerank", "very strongly",
+                              "completeness", "bedrooms")
+                  .ok());
+  ASSERT_TRUE(
+      uc.AddStatement("accuracy", "price", "moderately", "completeness",
+                      "crimerank")
+          .ok());
+  // A criterion no statement names still shifts every weight.
+  uc.AddCriterion(Criterion{"consistency", "target"});
+
+  Result<UserContext> back = UserContext::FromRelation(uc.ToRelation());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value().criteria(), uc.criteria());
+  ASSERT_EQ(back.value().statements().size(), uc.statements().size());
+  for (size_t i = 0; i < uc.statements().size(); ++i) {
+    EXPECT_EQ(back.value().statements()[i].more_important,
+              uc.statements()[i].more_important);
+    EXPECT_EQ(back.value().statements()[i].less_important,
+              uc.statements()[i].less_important);
+    EXPECT_EQ(back.value().statements()[i].level, uc.statements()[i].level);
+  }
+  Result<CriterionWeights> expected = uc.DeriveWeights();
+  Result<CriterionWeights> decoded = back.value().DeriveWeights();
+  ASSERT_TRUE(expected.ok() && decoded.ok());
+  EXPECT_EQ(decoded.value().weight_of, expected.value().weight_of);
+  // Encoding the decoded context reproduces the relation row for row.
+  EXPECT_EQ(back.value().ToRelation().rows(), uc.ToRelation().rows());
+
+  EXPECT_TRUE(UserContext::FromRelation(UserContext().ToRelation())
+                  .value()
+                  .empty());
+  Relation bad = uc.ToRelation();
+  ASSERT_TRUE(bad.Insert(Tuple({Value::String("a"), Value::String("b"),
+                                Value::Int(4), Value::String("c"),
+                                Value::String("d")}))
+                  .ok());
+  EXPECT_FALSE(UserContext::FromRelation(bad).ok());  // 4 is no level
+}
+
 TEST(UserContextTest, UnknownPhraseRejected) {
   UserContext uc;
   EXPECT_FALSE(
@@ -198,6 +239,86 @@ TEST(DataContextTest, ToRelationOneRowPerCorrespondence) {
   Relation rel = dc.ToRelation();
   EXPECT_EQ(rel.size(), 2u);
   EXPECT_EQ(rel.rows()[0].at(1), Value::String("example"));
+}
+
+TEST(DataContextTest, AddBindingMergesPerRelationAndKind) {
+  DataContext dc;
+  ASSERT_TRUE(dc.AddBinding({"address", RelationRole::kReference,
+                             {{"street", "str"}}})
+                  .ok());
+  ASSERT_TRUE(
+      dc.AddBinding({"agents", RelationRole::kMaster, {{"agent", "name"}}})
+          .ok());
+  // Same relation and kind, not adjacent: extends the first binding and
+  // skips the correspondence it already has.
+  ASSERT_TRUE(dc.AddBinding({"address", RelationRole::kReference,
+                             {{"postcode", "pc"}, {"street", "str"}}})
+                  .ok());
+  // Same relation, another kind: a binding of its own.
+  ASSERT_TRUE(dc.AddBinding({"address", RelationRole::kExample,
+                             {{"postcode", "pc"}}})
+                  .ok());
+
+  ASSERT_EQ(dc.bindings().size(), 3u);
+  const DataContextBinding& address = dc.bindings()[0];
+  EXPECT_EQ(address.kind, RelationRole::kReference);
+  ASSERT_EQ(address.correspondences.size(), 2u);
+  EXPECT_EQ(address.correspondences[0].target_attribute, "street");
+  EXPECT_EQ(address.correspondences[1].target_attribute, "postcode");
+  EXPECT_EQ(dc.bindings()[1].context_relation, "agents");
+  EXPECT_EQ(dc.bindings()[2].kind, RelationRole::kExample);
+
+  Result<DataContext> back = DataContext::FromRelation(dc.ToRelation());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back.value().bindings().size(), 3u);
+  EXPECT_EQ(back.value().bindings()[0].correspondences.size(), 2u);
+  EXPECT_EQ(back.value().ToRelation().rows(), dc.ToRelation().rows());
+}
+
+TEST(DataContextTest, FromRelationKeepsBindingOrder) {
+  DataContext dc;
+  DataContextBinding address;
+  address.context_relation = "address";
+  address.kind = RelationRole::kReference;
+  address.correspondences = {{"street", "str"}, {"postcode", "pc"}};
+  DataContextBinding agents;
+  agents.context_relation = "agents";
+  agents.kind = RelationRole::kMaster;
+  agents.correspondences = {{"agent", "name"}};
+  DataContextBinding sample;
+  sample.context_relation = "address";
+  sample.kind = RelationRole::kExample;
+  sample.correspondences = {{"postcode", "pc"}};
+  ASSERT_TRUE(dc.AddBinding(address).ok());
+  ASSERT_TRUE(dc.AddBinding(agents).ok());
+  ASSERT_TRUE(dc.AddBinding(sample).ok());
+
+  Result<DataContext> back = DataContext::FromRelation(dc.ToRelation());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  ASSERT_EQ(back.value().bindings().size(), 3u);
+  for (size_t i = 0; i < 3; ++i) {
+    const DataContextBinding& want = dc.bindings()[i];
+    const DataContextBinding& got = back.value().bindings()[i];
+    EXPECT_EQ(got.context_relation, want.context_relation);
+    EXPECT_EQ(got.kind, want.kind);
+    ASSERT_EQ(got.correspondences.size(), want.correspondences.size());
+    for (size_t j = 0; j < want.correspondences.size(); ++j) {
+      EXPECT_EQ(got.correspondences[j].target_attribute,
+                want.correspondences[j].target_attribute);
+      EXPECT_EQ(got.correspondences[j].context_attribute,
+                want.correspondences[j].context_attribute);
+    }
+  }
+  EXPECT_EQ(back.value().ToRelation().rows(), dc.ToRelation().rows());
+
+  EXPECT_TRUE(DataContext::FromRelation(DataContext().ToRelation())
+                  .value()
+                  .empty());
+  Relation bad = dc.ToRelation();
+  ASSERT_TRUE(bad.Insert(Tuple({Value::String("x"), Value::String("source"),
+                                Value::String("a"), Value::String("b")}))
+                  .ok());
+  EXPECT_FALSE(DataContext::FromRelation(bad).ok());  // not a context kind
 }
 
 }  // namespace

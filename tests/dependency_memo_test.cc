@@ -172,15 +172,29 @@ TEST(DependencyMemoTest, UnchangedReadSetsSkipEvaluation) {
   EXPECT_GT(first.dependency_memo_hits, 0u);
   EXPECT_GT(first.dependency_checks, 0u);
 
-  // New rows in `a` change no relation any dependency reads
-  // (sys_relation_nonempty already lists a, b and c): the whole refresh
-  // runs without a single dependency query, and still propagates.
+  // New rows in `a`: only `ab` read `a`, and only `bc` read what `ab`
+  // then wrote, so the refresh runs exactly those two. A dependency is
+  // asked about only while its transducer is a candidate, so both
+  // answers are evaluated once more: they were memoised before the first
+  // Run's last control-fact sync (which listed `c`), and the two were not
+  // candidates since.
   ASSERT_TRUE(kb.Insert("a", {Value::Int(2)}).ok());
+  const size_t before = orchestrator.trace().size();
   OrchestrationStats second;
   ASSERT_TRUE(orchestrator.Run(&kb, &second).ok());
   EXPECT_EQ(kb.FindRelation("c")->size(), 2u);
-  EXPECT_EQ(second.dependency_checks, 0u);
-  EXPECT_GE(second.dependency_memo_hits, second.steps);
+  EXPECT_EQ(second.dependency_checks, 2u);
+  std::vector<std::string> ran;
+  for (size_t i = before; i < orchestrator.trace().size(); ++i) {
+    ran.push_back(orchestrator.trace().events()[i].transducer);
+  }
+  EXPECT_EQ(ran, (std::vector<std::string>{"ab", "bc"}));
+
+  // Nothing new: a Run executes and evaluates nothing.
+  OrchestrationStats idle;
+  ASSERT_TRUE(orchestrator.Run(&kb, &idle).ok());
+  EXPECT_EQ(idle.steps, 0u);
+  EXPECT_EQ(idle.dependency_checks, 0u);
 
   // A write to a read relation re-evaluates exactly the queries reading
   // it (flag stays non-empty, so the control facts do not move): `on_flag`

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+
+#include "extract/open_government.h"
 #include "extract/real_estate.h"
+#include "feedback/feedback.h"
 #include "kb/checkpoint.h"
 #include "kb/fs_util.h"
 #include "wrangler/session.h"
@@ -51,37 +56,127 @@ class DurabilitySessionTest : public ::testing::Test {
     return session->AddSource(rightmove_);
   }
 
+  /// Bootstraps a durable session, adds `inputs` (nullptr: none), runs
+  /// and closes it; then reopens the directory, re-declares only the
+  /// bootstrap inputs and runs again. The recovered KB is at the
+  /// orchestration fixpoint, so the second Run must change nothing.
+  void ExpectRestartIsEffectFree(
+      const std::string& name,
+      const std::function<Status(WranglingSession*)>& inputs) {
+    SCOPED_TRACE(name);
+    std::string dir = TempDir(name);
+    std::string digest;
+    {
+      WranglingSession session(DurableConfig(dir));
+      ASSERT_TRUE(session.durability_open_status().ok())
+          << session.durability_open_status().ToString();
+      ASSERT_TRUE(Bootstrap(&session).ok());
+      if (inputs != nullptr) {
+        ASSERT_TRUE(inputs(&session).ok());
+      }
+      Status s = session.Run();
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ASSERT_NE(session.result(), nullptr);
+      EXPECT_GT(session.result()->size(), 0u);
+      digest = KbDigest(session.kb());
+    }
+    WranglingSession session(DurableConfig(dir));
+    ASSERT_NE(session.durability(), nullptr);
+    EXPECT_TRUE(session.durability()->recovery().recovered);
+    EXPECT_EQ(KbDigest(session.kb()), digest);
+    ASSERT_TRUE(Bootstrap(&session).ok());
+    OrchestrationStats stats;
+    ASSERT_TRUE(session.Run(&stats).ok());
+    EXPECT_EQ(stats.effective_steps, 0u) << session.trace().ToString();
+    EXPECT_EQ(KbDigest(session.kb()), digest);
+  }
+
   GroundTruth truth_;
   Relation rightmove_{Schema()};
 };
 
 TEST_F(DurabilitySessionTest, SessionStateSurvivesRestart) {
-  std::string dir = TempDir("restart");
-  std::string digest;
+  // Target and source only; re-declared after reopen.
+  ExpectRestartIsEffectFree("restart", nullptr);
+  // A user context set before close and not set again after reopen.
+  ExpectRestartIsEffectFree("restart_user_context",
+                            [](WranglingSession* session) {
+                              UserContext uc;
+                              VADA_RETURN_IF_ERROR(uc.AddStatement(
+                                  "completeness", "price", "extremely",
+                                  "completeness", "bedrooms"));
+                              return session->SetUserContext(uc);
+                            });
+  // A reference data context not declared again after reopen.
+  ExpectRestartIsEffectFree(
+      "restart_data_context", [this](WranglingSession* session) {
+        return session->AddDataContext(
+            GenerateAddressReference(truth_), RelationRole::kReference,
+            {{"street", "street"}, {"postcode", "postcode"}});
+      });
+  // Feedback propagated before close. The reopened session starts with an
+  // empty feedback store, which must leave the recovered penalties alone.
+  ExpectRestartIsEffectFree("restart_feedback", [](WranglingSession* session) {
+    VADA_RETURN_IF_ERROR(session->Run());
+    const Relation* result = session->result();
+    if (result == nullptr || result->empty()) {
+      return Status::Internal("no result to annotate");
+    }
+    VADA_RETURN_IF_ERROR(session->AddFeedback(
+        {result->rows().front(), "bedrooms", FeedbackPolarity::kIncorrect}));
+    VADA_RETURN_IF_ERROR(session->Run());
+    const Relation* penalties = session->kb().FindRelation("match_penalty");
+    if (penalties == nullptr || penalties->empty()) {
+      return Status::Internal("the feedback induced no match penalty");
+    }
+    return Status::OK();
+  });
+}
+
+TEST_F(DurabilitySessionTest, FeedbackRelationWithoutSeqTakesNewFeedback) {
+  // Directories written before feedback rows carried a `seq` column hold
+  // feedback(tuple_key, attribute, polarity).
+  std::string dir = TempDir("feedback_without_seq");
   {
     WranglingSession session(DurableConfig(dir));
-    ASSERT_TRUE(session.durability_open_status().ok())
-        << session.durability_open_status().ToString();
+    ASSERT_TRUE(session.durability_open_status().ok());
     ASSERT_TRUE(Bootstrap(&session).ok());
-    Status s = session.Run();
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    ASSERT_NE(session.result(), nullptr);
-    EXPECT_GT(session.result()->size(), 0u);
-    digest = KbDigest(session.kb());
+    ASSERT_TRUE(session.Run().ok());
+    ASSERT_TRUE(session.kb()
+                    .CreateRelation(Schema::Untyped(
+                        "feedback", {"tuple_key", "attribute", "polarity"}))
+                    .ok());
+    for (const char* key : {"17", "5"}) {
+      ASSERT_TRUE(session.kb()
+                      .Insert("feedback", Tuple({Value::String(key),
+                                                 Value::String("price"),
+                                                 Value::String("incorrect")}))
+                      .ok());
+    }
   }
-  {
-    WranglingSession session(DurableConfig(dir));
-    ASSERT_NE(session.durability(), nullptr);
-    EXPECT_TRUE(session.durability()->recovery().recovered);
-    EXPECT_EQ(KbDigest(session.kb()), digest);
-    // The recovered KB is at the orchestration fixpoint: re-declaring the
-    // same inputs and re-running is effect-free.
-    ASSERT_TRUE(Bootstrap(&session).ok());
-    OrchestrationStats stats;
-    ASSERT_TRUE(session.Run(&stats).ok());
-    EXPECT_EQ(stats.effective_steps, 0u);
-    EXPECT_EQ(KbDigest(session.kb()), digest);
+  WranglingSession session(DurableConfig(dir));
+  ASSERT_TRUE(Bootstrap(&session).ok());
+  ASSERT_TRUE(session.Run().ok());
+  ASSERT_NE(session.result(), nullptr);
+  ASSERT_FALSE(session.result()->empty());
+  const FeedbackItem item{session.result()->rows().front(), "bedrooms",
+                          FeedbackPolarity::kIncorrect};
+  Status added = session.AddFeedback(item);
+  ASSERT_TRUE(added.ok()) << added.ToString();
+
+  const Relation* feedback = session.kb().FindRelation("feedback");
+  ASSERT_NE(feedback, nullptr);
+  EXPECT_EQ(feedback->schema(), FeedbackStore::RelationSchema());
+  ASSERT_EQ(feedback->size(), 3u);
+  for (size_t i = 0; i < feedback->size(); ++i) {
+    EXPECT_EQ(feedback->rows()[i].at(3), Value::Int(static_cast<int64_t>(i)));
   }
+  EXPECT_EQ(feedback->rows()[0].at(0), Value::String("17"));
+  EXPECT_EQ(feedback->rows()[2], FeedbackStore::ToRow(item, 2));
+  ASSERT_TRUE(session.Run().ok());
+  const Relation* penalties = session.kb().FindRelation("match_penalty");
+  ASSERT_NE(penalties, nullptr);
+  EXPECT_FALSE(penalties->empty());
 }
 
 TEST_F(DurabilitySessionTest, CheckpointApiAndRecoveryFromCheckpoint) {

@@ -8,6 +8,7 @@
 #include "extract/real_estate.h"
 #include "transducer/fault_injection.h"
 #include "wrangler/session.h"
+#include "fixpoint_auditor.h"
 
 namespace vada {
 namespace {
@@ -77,10 +78,15 @@ class FaultSoakTest : public ::testing::Test {
 
 TEST_F(FaultSoakTest, SeededFaultSchedulesConvergeToFaultFreeResult) {
   // Fault-free baseline.
-  WranglingSession baseline;
+  FixpointAuditor baseline_auditor;
+  WranglerConfig baseline_config;
+  baseline_config.transducer_decorator = baseline_auditor.Decorator();
+  WranglingSession baseline(baseline_config);
   ASSERT_TRUE(Bootstrap(&baseline).ok());
   OrchestrationStats baseline_stats;
   ASSERT_TRUE(baseline.Run(&baseline_stats).ok());
+  EXPECT_EQ(baseline_auditor.Offenders(&baseline.kb()),
+            std::vector<std::string>{});
   ASSERT_NE(baseline.result(), nullptr);
   const std::vector<Tuple> expected_rows = baseline.result()->rows();
   ASSERT_FALSE(expected_rows.empty());
@@ -96,15 +102,18 @@ TEST_F(FaultSoakTest, SeededFaultSchedulesConvergeToFaultFreeResult) {
     FaultInjector injector(fopt);
 
     std::vector<double> backoffs;
+    FixpointAuditor auditor;
     WranglerConfig config;
     config.fault_tolerance = SoakPolicy(&backoffs);
-    config.transducer_decorator = injector.Decorator();
+    config.transducer_decorator = auditor.Decorator(injector.Decorator());
     WranglingSession session(config);
     ASSERT_TRUE(Bootstrap(&session).ok());
     OrchestrationStats stats;
     Status s = session.Run(&stats);
     ASSERT_TRUE(s.ok()) << "seed " << seed << ": " << s.ToString() << "\n"
                         << session.trace().ToString();
+    EXPECT_EQ(auditor.Offenders(&session.kb()), std::vector<std::string>{})
+        << "seed " << seed;
     // Exact convergence: same rows, same order, despite the faults.
     ASSERT_NE(session.result(), nullptr) << "seed " << seed;
     EXPECT_EQ(session.result()->rows(), expected_rows) << "seed " << seed;
@@ -139,20 +148,25 @@ TEST_F(FaultSoakTest, PermanentStandardTransducerFailureDegradesGracefully) {
   config.fault_tolerance.quarantine_after = 1;
   config.fault_tolerance.quarantine_max_probes = 1;
   config.fault_tolerance.sleep_ms = [](double) {};
-  config.transducer_decorator =
+  FixpointAuditor auditor;
+  config.transducer_decorator = auditor.Decorator(
       [](std::unique_ptr<Transducer> t) -> std::unique_ptr<Transducer> {
-    if (t->name() != "cfd_learning") return t;
-    FaultSpec spec;
-    spec.kind = FaultKind::kFailFirstN;
-    spec.count = 1000000;  // effectively permanent
-    return WrapWithFault(std::move(t), spec);
-  };
+        if (t->name() != "cfd_learning") return t;
+        FaultSpec spec;
+        spec.kind = FaultKind::kFailFirstN;
+        spec.count = 1000000;  // effectively permanent
+        return WrapWithFault(std::move(t), spec);
+      });
   WranglingSession session(config);
   ASSERT_TRUE(Bootstrap(&session).ok());
   OrchestrationStats stats;
   Status s = session.Run(&stats);
   // Graceful degradation: the run completes…
   ASSERT_TRUE(s.ok()) << s.ToString() << "\n" << session.trace().ToString();
+  // …and every transducer that did run is at its fixpoint; re-running the
+  // unwrapped cfd_learning publishes the CFDs its quarantine held back.
+  EXPECT_EQ(auditor.Offenders(&session.kb()),
+            std::vector<std::string>{"cfd_learning"});
   // …the result is still produced…
   ASSERT_NE(session.result(), nullptr);
   EXPECT_GT(session.result()->size(), 0u);

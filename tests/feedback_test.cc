@@ -20,14 +20,16 @@ TEST(FeedbackStoreTest, AddAndQuery) {
   EXPECT_TRUE(store.empty());
 }
 
-TEST(FeedbackStoreTest, ToRelation) {
-  FeedbackStore store;
-  store.Add(FeedbackItem{Tuple({Value::Int(1)}), "bedrooms",
-                         FeedbackPolarity::kIncorrect});
-  Relation rel = store.ToRelation();
-  ASSERT_EQ(rel.size(), 1u);
+TEST(FeedbackStoreTest, ToRowKeysRepeatsApart) {
+  const FeedbackItem item{Tuple({Value::Int(1)}), "bedrooms",
+                          FeedbackPolarity::kIncorrect};
+  Relation rel(FeedbackStore::RelationSchema());
+  ASSERT_TRUE(rel.Insert(FeedbackStore::ToRow(item, 0)).ok());
+  ASSERT_TRUE(rel.Insert(FeedbackStore::ToRow(item, 1)).ok());
+  ASSERT_EQ(rel.size(), 2u);  // a repeated annotation is a row of its own
   EXPECT_EQ(rel.rows()[0].at(1), Value::String("bedrooms"));
   EXPECT_EQ(rel.rows()[0].at(2), Value::String("incorrect"));
+  EXPECT_EQ(rel.rows()[1].at(3), Value::Int(1));
 }
 
 TEST(FeedbackItemTest, ToStringMentionsPolarityAndAttribute) {

@@ -20,6 +20,7 @@
 #include "extract/real_estate.h"
 #include "kb/schema.h"
 #include "wrangler/session.h"
+#include "fixpoint_auditor.h"
 
 #ifndef VADA_GOLDEN_DIR
 #error "VADA_GOLDEN_DIR must point at tests/golden"
@@ -60,7 +61,10 @@ std::vector<std::string> RunDemoScenario(const WranglerConfig& config) {
   ExtractionErrorOptions otm_err;
   otm_err.seed = 6;
 
-  WranglingSession session(config);
+  FixpointAuditor auditor;
+  WranglerConfig audited = config;
+  audited.transducer_decorator = auditor.Decorator(config.transducer_decorator);
+  WranglingSession session(audited);
   Schema target = Schema::Untyped(
       "target",
       {"type", "description", "street", "postcode", "bedrooms", "price",
@@ -69,6 +73,7 @@ std::vector<std::string> RunDemoScenario(const WranglerConfig& config) {
   EXPECT_TRUE(session.AddSource(ExtractRightmove(truth, rm_err)).ok());
   EXPECT_TRUE(session.AddSource(ExtractOnthemarket(truth, otm_err)).ok());
   EXPECT_TRUE(session.Run().ok());
+  EXPECT_EQ(auditor.Offenders(&session.kb()), std::vector<std::string>{});
   EXPECT_NE(session.result(), nullptr);
   if (session.result() == nullptr) return {};
   return Canonicalize(*session.result());

@@ -16,6 +16,7 @@
 #include "extract/open_government.h"
 #include "extract/real_estate.h"
 #include "wrangler/session.h"
+#include "fixpoint_auditor.h"
 
 namespace vada {
 namespace {
@@ -63,12 +64,17 @@ TEST(IncrementalSessionSoakTest, EventStreamMatchesFullRerunOracle) {
   uopts.seed = 11;
   GroundTruth truth = GeneratePropertyUniverse(uopts);
 
+  FixpointAuditor inc_auditor;
   WranglerConfig inc_config;
   inc_config.incremental.enabled = true;
   // Pool-backed, to put the delta path under the TSan job's eye too.
   inc_config.parallelism.threads = 3;
+  inc_config.transducer_decorator = inc_auditor.Decorator();
   WranglingSession incremental(inc_config);
-  WranglingSession oracle;  // defaults: full re-execution every round
+  FixpointAuditor oracle_auditor;
+  WranglerConfig oracle_config;  // defaults: full re-execution every round
+  oracle_config.transducer_decorator = oracle_auditor.Decorator();
+  WranglingSession oracle(oracle_config);
   ASSERT_TRUE(Bootstrap(&incremental, truth).ok());
   ASSERT_TRUE(Bootstrap(&oracle, truth).ok());
 
@@ -141,8 +147,14 @@ TEST(IncrementalSessionSoakTest, EventStreamMatchesFullRerunOracle) {
     }
     Status si = incremental.Run();
     ASSERT_TRUE(si.ok()) << "round " << round << ": " << si.ToString();
+    EXPECT_EQ(inc_auditor.Offenders(&incremental.kb()),
+              std::vector<std::string>{})
+        << "round " << round;
     Status so = oracle.Run();
     ASSERT_TRUE(so.ok()) << "round " << round << ": " << so.ToString();
+    EXPECT_EQ(oracle_auditor.Offenders(&oracle.kb()),
+              std::vector<std::string>{})
+        << "round " << round;
     EXPECT_EQ(Canonical(incremental.result()), Canonical(oracle.result()))
         << "incremental/full divergence at round " << round;
   }

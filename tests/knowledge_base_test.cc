@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <set>
+#include <string>
+
 #include "kb/knowledge_base.h"
+#include "kb/write_guard.h"
 
 namespace vada {
 namespace {
@@ -104,6 +108,100 @@ TEST(KnowledgeBaseTest, RelationNamesSorted) {
   EXPECT_EQ(kb.RelationNames(), (std::vector<std::string>{"apple", "zebra"}));
 }
 
+TEST(KnowledgeBaseTest, AccessLogRecordsLookupsWritesAndRoles) {
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("r", {"a"})).ok());
+  ASSERT_TRUE(kb.Assert("r", {Value::Int(1)}).ok());
+  kb.catalog().SetRole("r", RelationRole::kSource);
+
+  ReadSet log;
+  kb.RecordAccesses(&log);
+  (void)kb.FindRelation("r");
+  (void)kb.HasRelation("absent");
+  (void)kb.relation_version("v");
+  (void)kb.catalog().RelationsWithRole(RelationRole::kSource);
+  // A replace that changes nothing is still recorded as a write.
+  Relation same(Schema::Untyped("r", {"a"}));
+  ASSERT_TRUE(same.Insert(Tuple({Value::Int(1)})).ok());
+  bool changed = true;
+  ASSERT_TRUE(kb.ReplaceRelationIfChanged(same, &changed).ok());
+  EXPECT_FALSE(changed);
+  ASSERT_TRUE(kb.EnsureRelation(Schema::Untyped("out", {"a"})).ok());
+  kb.RecordAccesses(nullptr);
+  (void)kb.FindRelation("after_detach");
+
+  EXPECT_EQ(log.relations,
+            (std::set<std::string>{"absent", "out", "r", "v"}));
+  EXPECT_EQ(log.roles, (std::set<RelationRole>{RelationRole::kSource}));
+  EXPECT_FALSE(log.whole_kb);
+
+  ReadSet whole;
+  kb.RecordAccesses(&whole);
+  (void)kb.RelationNames();
+  kb.RecordAccesses(nullptr);
+  EXPECT_TRUE(whole.whole_kb);
+}
+
+TEST(ReadSetKeyTest, HoldsUntilARecordedRelationOrRoleMoves) {
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("r", {"a"})).ok());
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("other", {"a"})).ok());
+  ReadSet reads;
+  reads.relations = {"r", "absent"};
+  reads.roles = {RelationRole::kSource};
+  const ReadSetKey key(kb, reads);
+  EXPECT_FALSE(ReadSetKey().Holds(kb));
+  EXPECT_TRUE(key.Holds(kb));
+
+  // Writes elsewhere, and roles it did not list, leave it holding.
+  ASSERT_TRUE(kb.Assert("other", {Value::Int(1)}).ok());
+  kb.catalog().SetRole("other", RelationRole::kMetadata);
+  EXPECT_TRUE(key.Holds(kb));
+
+  // A relation entering the listed role moves it; so does leaving it.
+  kb.catalog().SetRole("other", RelationRole::kSource);
+  EXPECT_FALSE(key.Holds(kb));
+  const ReadSetKey listed(kb, reads);
+  kb.catalog().Remove("other");
+  EXPECT_FALSE(listed.Holds(kb));
+
+  // Creating a relation it found absent moves it.
+  const ReadSetKey before_create(kb, reads);
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("absent", {"a"})).ok());
+  EXPECT_FALSE(before_create.Holds(kb));
+
+  // A whole-KB key moves with any write.
+  const ReadSetKey everything = ReadSetKey::WholeKb(kb);
+  EXPECT_TRUE(everything.Holds(kb));
+  ASSERT_TRUE(kb.Assert("other", {Value::Int(2)}).ok());
+  EXPECT_FALSE(everything.Holds(kb));
+
+  // Checking a key that holds looks up everything it names, so an
+  // attached log records its read set, as a recomputation would have.
+  const ReadSetKey current(kb, reads);
+  ReadSet log;
+  kb.RecordAccesses(&log);
+  EXPECT_TRUE(current.Holds(kb));
+  kb.RecordAccesses(nullptr);
+  EXPECT_EQ(log.relations, reads.relations);
+  EXPECT_EQ(log.roles, reads.roles);
+}
+
+TEST(ReadSetKeyTest, RolledBackRoleChangeMovesTheRoleVersion) {
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("r", {"a"})).ok());
+  const uint64_t version = kb.catalog().role_version(RelationRole::kSource);
+  {
+    WriteGuard guard(&kb);
+    kb.catalog().SetRole("r", RelationRole::kSource);
+    guard.Rollback();
+  }
+  // Membership is back to what it was, but the version never goes back:
+  // a key taken inside the rolled-back transaction cannot hold again.
+  EXPECT_TRUE(kb.catalog().RelationsWithRole(RelationRole::kSource).empty());
+  EXPECT_GT(kb.catalog().role_version(RelationRole::kSource), version + 1);
+}
+
 TEST(CatalogTest, RolesRoundTrip) {
   Catalog cat;
   cat.SetRole("rightmove", RelationRole::kSource);
@@ -123,6 +221,14 @@ TEST(CatalogTest, RoleNames) {
   EXPECT_STREQ(RelationRoleName(RelationRole::kSource), "source");
   EXPECT_STREQ(RelationRoleName(RelationRole::kReference), "reference");
   EXPECT_STREQ(RelationRoleName(RelationRole::kResult), "result");
+  for (size_t i = 0; i < kRelationRoleCount; ++i) {
+    const RelationRole role = static_cast<RelationRole>(i);
+    Result<RelationRole> back = RelationRoleFromName(RelationRoleName(role));
+    ASSERT_TRUE(back.ok());
+    EXPECT_EQ(back.value(), role);
+  }
+  EXPECT_EQ(RelationRoleFromName("sauce").status().code(),
+            StatusCode::kParseError);
 }
 
 }  // namespace

@@ -125,11 +125,11 @@ TEST(SessionConfluenceTest, PolicyIndependentFixpoint) {
     binding.context_relation = "address";
     binding.kind = RelationRole::kReference;
     binding.correspondences = {{"street", "street"}, {"postcode", "postcode"}};
-    EXPECT_TRUE(state->data_context.AddBinding(binding).ok());
+    DataContext context;
+    EXPECT_TRUE(context.AddBinding(binding).ok());
     EXPECT_TRUE(kb.InsertAll(address).ok());
     kb.catalog().SetRole("address", RelationRole::kReference);
-    EXPECT_TRUE(
-        kb.ReplaceRelationIfChanged(state->data_context.ToRelation()).ok());
+    EXPECT_TRUE(kb.ReplaceRelationIfChanged(context.ToRelation()).ok());
 
     TransducerRegistry registry;
     EXPECT_TRUE(RegisterStandardTransducers(&registry, state.get()).ok());

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "obs/json.h"
 #include "wrangler/evaluation.h"
 #include "wrangler/session.h"
+#include "wrangler/standard_transducers.h"
 
 namespace vada {
 namespace {
@@ -117,6 +120,40 @@ TEST_F(SessionTest, DataContextEnablesCfdLearningAndRepair) {
   EXPECT_GT(cfds->size(), 0u) << "street->postcode should be learnable";
 }
 
+TEST_F(SessionTest, AddDataContextTwiceExtendsOneBinding) {
+  WranglingSession session;
+  ASSERT_TRUE(Bootstrap(&session).ok());
+  Relation postcodes(Schema::Untyped("postcodes", {"postcode"}));
+  ASSERT_TRUE(postcodes.Insert(Tuple({Value::String("M1 1AA")})).ok());
+  ASSERT_TRUE(session
+                  .AddDataContext(address_, RelationRole::kReference,
+                                  {{"street", "street"}})
+                  .ok());
+  ASSERT_TRUE(session
+                  .AddDataContext(postcodes, RelationRole::kMaster,
+                                  {{"postcode", "postcode"}})
+                  .ok());
+  ASSERT_TRUE(session
+                  .AddDataContext(address_, RelationRole::kReference,
+                                  {{"postcode", "postcode"}})
+                  .ok());
+
+  Result<DataContext> context = ReadDataContext(session.kb());
+  ASSERT_TRUE(context.ok()) << context.status().ToString();
+  ASSERT_EQ(context.value().bindings().size(), 2u);
+  const DataContextBinding& address = context.value().bindings()[0];
+  EXPECT_EQ(address.context_relation, address_.name());
+  ASSERT_EQ(address.correspondences.size(), 2u);
+  EXPECT_EQ(address.correspondences[0].target_attribute, "street");
+  EXPECT_EQ(address.correspondences[1].target_attribute, "postcode");
+
+  // One binding with both correspondences is enough to relate them.
+  ASSERT_TRUE(session.Run().ok());
+  const Relation* cfds = session.kb().FindRelation("cfd");
+  ASSERT_NE(cfds, nullptr);
+  EXPECT_GT(cfds->size(), 0u);
+}
+
 TEST_F(SessionTest, PayAsYouGoQualityImproves) {
   WranglingSession session;
   ASSERT_TRUE(Bootstrap(&session).ok());
@@ -166,6 +203,55 @@ TEST_F(SessionTest, FeedbackRevisesMatchScores) {
   const Relation* penalties = session.kb().FindRelation("match_penalty");
   ASSERT_NE(penalties, nullptr);
   EXPECT_GT(penalties->size(), 0u);
+}
+
+/// match_penalty as (source_relation, source_attribute, target_attribute)
+/// -> factor.
+std::map<std::string, double> Penalties(const WranglingSession& session) {
+  std::map<std::string, double> out;
+  const Relation* rel = session.kb().FindRelation("match_penalty");
+  if (rel == nullptr) return out;
+  for (const Tuple& row : rel->rows()) {
+    out[row.at(0).ToString() + "." + row.at(1).ToString() + "->" +
+        row.at(2).ToString()] = *row.at(3).AsDouble();
+  }
+  return out;
+}
+
+TEST_F(SessionTest, DuplicateFeedbackIsAttributedOnItsOwnRun) {
+  WranglingSession session;
+  ASSERT_TRUE(Bootstrap(&session).ok());
+  ASSERT_TRUE(session.Run().ok());
+  const Relation* result = session.result();
+  ASSERT_NE(result, nullptr);
+  size_t bed = *result->schema().AttributeIndex("bedrooms");
+  std::vector<Tuple> rows = result->SortedRows();
+  auto implausible = std::find_if(rows.begin(), rows.end(), [&](const Tuple& r) {
+    std::optional<double> d = r.at(bed).AsDouble();
+    return d.has_value() && *d > 8.0;
+  });
+  ASSERT_NE(implausible, rows.end()) << "expected an area-extraction error";
+  const FeedbackItem item{*implausible, "bedrooms",
+                          FeedbackPolarity::kIncorrect};
+
+  ASSERT_TRUE(session.AddFeedback(item).ok());
+  ASSERT_TRUE(session.Run().ok());
+  const std::map<std::string, double> once = Penalties(session);
+  ASSERT_FALSE(once.empty());
+
+  // The same annotation again is new evidence: its own Run attributes it,
+  // without waiting for some unrelated write to re-enable propagation.
+  ASSERT_TRUE(session.AddFeedback(item).ok());
+  OrchestrationStats stats;
+  ASSERT_TRUE(session.Run(&stats).ok());
+  EXPECT_GT(stats.effective_steps, 0u);
+  EXPECT_EQ(session.state().attributed_feedback_items,
+            (std::set<size_t>{0, 1}));
+  const std::map<std::string, double> twice = Penalties(session);
+  for (const auto& [match, factor] : once) {
+    ASSERT_EQ(twice.count(match), 1u) << match;
+    EXPECT_NEAR(twice.at(match), factor * factor, 1e-12) << match;
+  }
 }
 
 TEST_F(SessionTest, UserContextChangesSelection) {

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "transducer/network.h"
 #include "transducer/transducer.h"
+#include "fixpoint_auditor.h"
 
 namespace vada {
 namespace {
@@ -190,26 +192,103 @@ TEST(NetworkTest, ActivityPriorityOrdersExecution) {
   EXPECT_EQ(trace.events()[0].transducer, "t1");
 }
 
+/// Writes max(`from`) + 1 into `to`: two of these pointed at each other
+/// keep changing each other's input forever.
+std::unique_ptr<Transducer> Incrementer(const std::string& name,
+                                        const std::string& from,
+                                        const std::string& to) {
+  return std::make_unique<FunctionTransducer>(
+      name, "act", "ready() :- sys_relation_nonempty(\"" + from + "\").",
+      [from, to](KnowledgeBase* kb) -> Status {
+        int64_t top = 0;
+        for (const Tuple& row : kb->FindRelation(from)->rows()) {
+          top = std::max(top, row.at(0).int_value());
+        }
+        Relation out(Schema::Untyped(to, {"x"}));
+        VADA_RETURN_IF_ERROR(out.Insert(Tuple({Value::Int(top + 1)})));
+        return kb->ReplaceRelationIfChanged(out);
+      });
+}
+
 TEST(NetworkTest, NonIdempotentTransducerHitsStepCap) {
+  // Pathological: appends a new fact every run. Its key covers only its
+  // own write, so the orchestrator does not run it again; the auditor,
+  // which re-runs it, catches it.
+  {
+    KnowledgeBase kb = SeedKb();
+    FixpointAuditor auditor;
+    TransducerRegistry registry;
+    registry.SetDecorator(auditor.Decorator());
+    int counter = 0;
+    ASSERT_TRUE(registry
+                    .Add(std::make_unique<FunctionTransducer>(
+                        "grower", "act",
+                        "ready() :- sys_relation_nonempty(\"a\").",
+                        [&counter](KnowledgeBase* kb) {
+                          return kb->Assert("a",
+                                            {Value::Int(1000 + counter++)});
+                        }))
+                    .ok());
+    ASSERT_TRUE(registry.Add(CopyTransducer("ab", "act", "a", "b")).ok());
+    OrchestratorOptions opts;
+    opts.max_steps = 10;
+    NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>(),
+                                   opts);
+    ASSERT_TRUE(orchestrator.Run(&kb).ok());
+    const uint64_t version = kb.global_version();
+    EXPECT_EQ(auditor.Offenders(&kb), std::vector<std::string>{"grower"});
+    EXPECT_EQ(kb.global_version(), version);  // the audit rolled back
+  }
+  // Two transducers that keep rewriting each other's input never reach a
+  // fixpoint: the step cap stops them.
+  {
+    KnowledgeBase kb = SeedKb();
+    TransducerRegistry registry;
+    ASSERT_TRUE(registry.Add(Incrementer("ping", "a", "b")).ok());
+    ASSERT_TRUE(registry.Add(Incrementer("pong", "b", "a")).ok());
+    OrchestratorOptions opts;
+    opts.max_steps = 10;
+    NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>(),
+                                   opts);
+    Status s = orchestrator.Run(&kb);
+    EXPECT_EQ(s.code(), StatusCode::kInternal);
+    EXPECT_NE(s.message().find("max_steps"), std::string::npos);
+  }
+}
+
+TEST(FixpointAuditorTest, FlagsAReadOutsideTheKnowledgeBase) {
+  // `threshold` is read from outside the KB, so moving it changes what
+  // the transducer would write without moving anything in its key.
   KnowledgeBase kb = SeedKb();
+  FixpointAuditor auditor;
   TransducerRegistry registry;
-  // Pathological: appends a new fact every run.
-  int counter = 0;
+  registry.SetDecorator(auditor.Decorator());
+  int64_t threshold = 1;
   ASSERT_TRUE(registry
                   .Add(std::make_unique<FunctionTransducer>(
-                      "grower", "act",
+                      "filter", "act",
                       "ready() :- sys_relation_nonempty(\"a\").",
-                      [&counter](KnowledgeBase* kb) {
-                        return kb->Assert("a", {Value::Int(1000 + counter++)});
+                      [&threshold](KnowledgeBase* kb) -> Status {
+                        Relation out(Schema::Untyped("above", {"x"}));
+                        for (const Tuple& row :
+                             kb->FindRelation("a")->rows()) {
+                          if (row.at(0).int_value() > threshold) {
+                            VADA_RETURN_IF_ERROR(out.Insert(row));
+                          }
+                        }
+                        return kb->ReplaceRelationIfChanged(out);
                       }))
                   .ok());
-  OrchestratorOptions opts;
-  opts.max_steps = 10;
-  NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>(),
-                                 opts);
-  Status s = orchestrator.Run(&kb);
-  EXPECT_EQ(s.code(), StatusCode::kInternal);
-  EXPECT_NE(s.message().find("max_steps"), std::string::npos);
+  NetworkTransducer orchestrator(&registry, std::make_unique<FifoPolicy>());
+  ASSERT_TRUE(orchestrator.Run(&kb).ok());
+  EXPECT_TRUE(auditor.Offenders(&kb).empty());
+
+  threshold = 0;  // hidden input moves; nothing in the KB does
+  OrchestrationStats stats;
+  ASSERT_TRUE(orchestrator.Run(&kb, &stats).ok());
+  EXPECT_EQ(stats.steps, 0u);
+  EXPECT_EQ(kb.FindRelation("above")->size(), 1u);  // stale
+  EXPECT_EQ(auditor.Offenders(&kb), std::vector<std::string>{"filter"});
 }
 
 TEST(NetworkTest, TransducerErrorSurfacesWithName) {
