@@ -7,6 +7,10 @@
 // previous steps in the wrangling process to be revisited, giving rise to
 // a revised result" — more feedback, fewer implausible bedrooms, with
 // diminishing returns once the offending match is decisively penalised.
+// Exits non-zero when a session call fails or a shape check misses.
+#include <tuple>
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "wrangler/evaluation.h"
@@ -20,6 +24,9 @@ int main() {
 
   Table table({"annotations", "bedrooms_plausible", "penalized matches",
                "rows", "overall"});
+  size_t failures = 0;
+  // Per budget: (budget, mean bedroom plausibility, mean penalties).
+  std::vector<std::tuple<size_t, double, double>> sweep;
   for (size_t budget : {size_t{0}, size_t{5}, size_t{10}, size_t{20},
                         size_t{40}}) {
     double plausible = 0.0;
@@ -27,6 +34,11 @@ int main() {
     double rows = 0.0;
     double overall = 0.0;
     const int kSeeds = 3;
+    auto failed = [&](int seed, const Status& s) {
+      std::fprintf(stderr, "budget %zu seed %d: %s\n", budget, seed,
+                   s.ToString().c_str());
+      ++failures;
+    };
     for (int seed = 0; seed < kSeeds; ++seed) {
       Scenario sc = MakeScenario(600 + seed, 250, 35);
       WranglingSession session;
@@ -40,7 +52,10 @@ int main() {
                                     {"postcode", "postcode"}});
       }
       if (s.ok()) s = session.Run();
-      if (!s.ok()) continue;
+      if (!s.ok()) {
+        failed(seed, s);
+        continue;
+      }
 
       // The user inspects the result in arbitrary order (seeded shuffle)
       // and flags implausible bedroom counts, up to the annotation budget.
@@ -61,7 +76,10 @@ int main() {
       }
       if (flagged > 0) {
         s = session.Run();
-        if (!s.ok()) continue;
+        if (!s.ok()) {
+          failed(seed, s);
+          continue;
+        }
       }
 
       ScenarioEvaluation eval = EvaluateScenario(*session.result(), sc.truth);
@@ -74,10 +92,24 @@ int main() {
     }
     table.AddRow({std::to_string(budget), Fmt(plausible), Fmt(penalized, 1),
                   Fmt(rows, 1), Fmt(overall)});
+    sweep.emplace_back(budget, plausible, penalized);
   }
   table.Print();
+
+  bool monotone = true;
+  bool penalties = true;
+  for (size_t i = 0; i < sweep.size(); ++i) {
+    const auto& [budget, plausible, penalized] = sweep[i];
+    if (i > 0 && plausible < std::get<1>(sweep[i - 1]) - 1e-9) {
+      monotone = false;
+    }
+    if (budget > 0 && !(penalized > 0.0)) penalties = false;
+  }
   std::printf(
-      "\nexpected shape: bedrooms_plausible non-decreasing in the "
-      "annotation budget; penalties appear as soon as feedback does.\n");
-  return 0;
+      "\nshape checks vs paper narrative:\n"
+      "  bedrooms_plausible non-decreasing in the budget: %s\n"
+      "  penalties whenever the budget is above 0:        %s\n"
+      "  failed sessions:                                 %zu\n",
+      monotone ? "OK" : "MISS", penalties ? "OK" : "MISS", failures);
+  return monotone && penalties && failures == 0 ? 0 : 1;
 }

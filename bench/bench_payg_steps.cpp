@@ -7,7 +7,8 @@
 // the individual inputs acting where the narrative says they act —
 // data context widens coverage and enables repair, feedback fixes the
 // flagged attribute (bedrooms), user context steers selection toward the
-// user's priorities (crimerank completeness).
+// user's priorities (crimerank completeness). Exits non-zero when a
+// shape check misses.
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "wrangler/evaluation.h"
@@ -134,14 +135,17 @@ int main() {
   }
   table.Print();
 
+  const bool context_ok = cover[1] > cover[0];
+  const bool feedback_ok = beds[2] > beds[1];
+  const bool user_ok = crime[3] >= crime[2];
   std::printf(
       "\nshape checks vs paper narrative:\n"
       "  data context widens coverage:        %s (%.3f -> %.3f)\n"
       "  feedback lifts bedroom plausibility: %s (%.3f -> %.3f)\n"
       "  user context lifts crimerank compl.: %s (%.3f -> %.3f)\n",
-      cover[1] > cover[0] ? "OK" : "MISS", cover[0], cover[1],
-      beds[2] > beds[1] ? "OK" : "MISS", beds[1], beds[2],
-      crime[3] >= crime[2] ? "OK" : "MISS", crime[2], crime[3]);
+      context_ok ? "OK" : "MISS", cover[0], cover[1],
+      feedback_ok ? "OK" : "MISS", beds[1], beds[2],
+      user_ok ? "OK" : "MISS", crime[2], crime[3]);
 
   BenchReport report("payg_steps");
   const char* kStepKeys[] = {"step1", "step2", "step3", "step4"};
@@ -151,5 +155,6 @@ int main() {
     report.Add(std::string(kStepKeys[st]) + "_overall", overall[st]);
   }
   report.WriteJson();
-  return 0;
+  // A shape the paper's narrative predicts did not show: fail the run.
+  return context_ok && feedback_ok && user_ok ? 0 : 1;
 }

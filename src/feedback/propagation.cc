@@ -10,8 +10,7 @@ FeedbackPropagator::FeedbackPropagator(PropagatorOptions options)
 
 std::vector<MatchAttribution> FeedbackPropagator::AttributeItem(
     const std::vector<FeedbackItem>& items, size_t item_index,
-    const std::vector<Mapping>& mappings,
-    const std::map<std::string, Relation>& mapping_results,
+    const std::vector<Mapping>& mappings, const MappingOutputs& outputs,
     const std::vector<MatchCandidate>& matches) const {
   std::vector<MatchAttribution> out;
   if (item_index >= items.size()) return out;
@@ -21,10 +20,11 @@ std::vector<MatchAttribution> FeedbackPropagator::AttributeItem(
   // mappings' results, but one annotation is one piece of evidence.
   std::set<std::tuple<std::string, std::string, std::string>> seen;
 
+  auto holds = [&](const Relation* r) { return r->Contains(item.tuple); };
   for (const Mapping& mapping : mappings) {
-    auto rit = mapping_results.find(mapping.id);
-    if (rit == mapping_results.end()) continue;
-    if (!rit->second.Contains(item.tuple)) continue;
+    auto it = outputs.find(mapping.id);
+    if (it == outputs.end()) continue;
+    if (std::none_of(it->second.begin(), it->second.end(), holds)) continue;
 
     std::vector<std::string> affected;
     double strength = 1.0;
@@ -82,6 +82,8 @@ Result<PropagationResult> FeedbackPropagator::Propagate(
     const std::map<std::string, Relation>& mapping_results,
     std::vector<MatchCandidate> matches) const {
   PropagationResult out;
+  MappingOutputs outputs;
+  for (const auto& [id, result] : mapping_results) outputs[id] = {&result};
 
   std::vector<MatchAttribution> attributions;
   // Tuple-level tallies per source relation.
@@ -89,7 +91,7 @@ Result<PropagationResult> FeedbackPropagator::Propagate(
 
   for (size_t i = 0; i < items.size(); ++i) {
     std::vector<MatchAttribution> part =
-        AttributeItem(items, i, mappings, mapping_results, matches);
+        AttributeItem(items, i, mappings, outputs, matches);
     attributions.insert(attributions.end(), part.begin(), part.end());
 
     if (items[i].attribute.empty()) {

@@ -53,6 +53,9 @@ struct PropagationResult {
   std::map<std::string, double> source_correctness;
 };
 
+/// Per mapping id, the relations holding its output (raw and repaired).
+using MappingOutputs = std::map<std::string, std::vector<const Relation*>>;
+
 /// The paper's Mapping Evaluation / feedback loop (§2.3): "a mapping
 /// evaluation transducer ... may identify a problem with a specific match
 /// used within the mapping, and revise the score of that match in the
@@ -60,8 +63,8 @@ struct PropagationResult {
 /// generation transducer."
 ///
 /// Lineage is value-based: an annotated tuple is attributed to every
-/// mapping whose result relation contains it; the match feeding the
-/// annotated attribute in that mapping takes the score revision.
+/// mapping one of whose output relations contains it; the match feeding
+/// the annotated attribute in that mapping takes the score revision.
 class FeedbackPropagator {
  public:
   explicit FeedbackPropagator(PropagatorOptions options = PropagatorOptions());
@@ -77,11 +80,10 @@ class FeedbackPropagator {
 
   /// Resolves lineage for the item at `item_index`: which matches fed the
   /// annotated value, through which mappings. Empty when no mapping's
-  /// result contains the tuple (the item can be retried later).
+  /// `outputs` contain the tuple (the item can be retried later).
   std::vector<MatchAttribution> AttributeItem(
       const std::vector<FeedbackItem>& items, size_t item_index,
-      const std::vector<Mapping>& mappings,
-      const std::map<std::string, Relation>& mapping_results,
+      const std::vector<Mapping>& mappings, const MappingOutputs& outputs,
       const std::vector<MatchCandidate>& matches) const;
 
   /// Multiplicative score factor per match key (source_relation,

@@ -1,6 +1,7 @@
 #include "transducer/network.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <chrono>
 #include <set>
@@ -19,6 +20,25 @@ namespace {
 
 constexpr const char* kFailureRelation = "sys_transducer_failure";
 constexpr const char* kQuarantineRelation = "sys_transducer_quarantined";
+/// The control relations SyncControlFacts derives.
+constexpr const char* kControlRelations[] = {
+    "sys_relation_role", "sys_relation_nonempty", "sys_relation_attribute"};
+
+std::array<uint64_t, kRelationRoleCount> RoleVersions(const KnowledgeBase& kb) {
+  std::array<uint64_t, kRelationRoleCount> versions{};
+  for (size_t i = 0; i < kRelationRoleCount; ++i) {
+    versions[i] = kb.catalog().role_version(static_cast<RelationRole>(i));
+  }
+  return versions;
+}
+
+std::array<uint64_t, 3> ControlRelationVersions(const KnowledgeBase& kb) {
+  std::array<uint64_t, 3> versions{};
+  for (size_t i = 0; i < versions.size(); ++i) {
+    versions[i] = kb.relation_version(kControlRelations[i]);
+  }
+  return versions;
+}
 
 void SleepBackoff(const FailurePolicy& policy, double ms) {
   if (ms <= 0) return;
@@ -154,17 +174,76 @@ Status NetworkTransducer::SyncControlFacts(KnowledgeBase* kb) {
   return Status::OK();
 }
 
+NetworkTransducer::ControlShape NetworkTransducer::ControlShape::Of(
+    const KnowledgeBase& kb, const std::string& name) {
+  const Relation* rel = kb.FindRelation(name);
+  ControlShape shape;
+  shape.role = kb.catalog().GetRole(name);
+  shape.nonempty = !rel->empty();
+  for (const Attribute& a : rel->schema().attributes()) {
+    shape.attributes.push_back(a.name);
+  }
+  return shape;
+}
+
+bool NetworkTransducer::RefreshShapes(const KnowledgeBase& kb,
+                                      bool recheck_all) {
+  // Both sequences are sorted by name: walk them in step.
+  std::map<std::string, std::pair<uint64_t, ControlShape>>& shapes =
+      control_.shapes;
+  bool changed = false;
+  auto it = shapes.begin();
+  for (const std::string& name : kb.RelationNames()) {
+    if (StartsWith(name, "sys_")) continue;
+    while (it != shapes.end() && it->first < name) {
+      it = shapes.erase(it);  // dropped
+      changed = true;
+    }
+    const uint64_t version = kb.relation_version(name);
+    if (it == shapes.end() || it->first != name) {  // created
+      shapes.emplace_hint(it, name,
+                          std::pair(version, ControlShape::Of(kb, name)));
+      changed = true;
+      continue;
+    }
+    auto& [remembered, shape] = (it++)->second;
+    if (!recheck_all && version == remembered) continue;
+    remembered = version;
+    ControlShape now = ControlShape::Of(kb, name);
+    if (now == shape) continue;
+    shape = std::move(now);
+    changed = true;
+  }
+  if (it != shapes.end()) {
+    shapes.erase(it, shapes.end());
+    changed = true;
+  }
+  return changed;
+}
+
 Status NetworkTransducer::SyncControlFactsIfStale(KnowledgeBase* kb) {
-  if (control_synced_at_version_ != 0 &&
-      kb->global_version() == control_synced_at_version_ &&
-      kb->version_epoch() == control_synced_epoch_) {
+  const std::array<uint64_t, kRelationRoleCount> roles = RoleVersions(*kb);
+  const bool roles_moved = roles != control_.role_versions;
+  if (control_.synced && kb->global_version() == control_.global_version &&
+      kb->version_epoch() == control_.epoch && !roles_moved) {
     return Status::OK();
   }
-  VADA_RETURN_IF_ERROR(SyncControlFacts(kb));
-  // Record the post-sync version: if the sync itself bumped it, the
+  // A new epoch can give a remembered version other contents.
+  const bool new_epoch =
+      !control_.synced || kb->version_epoch() != control_.epoch;
+  const bool shape_changed = RefreshShapes(*kb, new_epoch || roles_moved);
+  if (new_epoch || shape_changed ||
+      ControlRelationVersions(*kb) != control_.sys_versions) {
+    control_.synced = false;  // a failed rebuild is retried in full
+    VADA_RETURN_IF_ERROR(SyncControlFacts(kb));
+  }
+  // Record the post-sync versions: if the sync itself bumped them, the
   // sys_* relations already reflect the (unchanged) non-sys state.
-  control_synced_at_version_ = kb->global_version();
-  control_synced_epoch_ = kb->version_epoch();
+  control_.synced = true;
+  control_.global_version = kb->global_version();
+  control_.epoch = kb->version_epoch();
+  control_.role_versions = roles;
+  control_.sys_versions = ControlRelationVersions(*kb);
   return Status::OK();
 }
 
@@ -324,6 +403,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
   obs::Counter* dep_checks_counter = nullptr;
   obs::Counter* memo_hits_counter = nullptr;
   obs::Histogram* eligibility_hist = nullptr;
+  obs::Histogram* control_sync_hist = nullptr;
   obs::Histogram* dep_check_hist = nullptr;
   obs::Histogram* rollback_hist = nullptr;
   obs::Histogram* scan_speedup_hist = nullptr;
@@ -341,6 +421,11 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
     eligibility_hist = m->GetHistogram(
         "vada_orchestrator_eligibility_seconds",
         "Per-step control-fact sync plus eligibility scan",
+        obs::Histogram::DefaultLatencyBucketsSeconds());
+    control_sync_hist = m->GetHistogram(
+        "vada_orchestrator_control_sync_seconds",
+        "Per-step control-fact sync: the shape check, plus the rebuild "
+        "when a relation's shape changed",
         obs::Histogram::DefaultLatencyBucketsSeconds());
     dep_check_hist = m->GetHistogram(
         "vada_orchestrator_dependency_check_seconds",
@@ -419,7 +504,11 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
     {
       obs::ScopedSpan eligibility_span(spans, eligibility_hist, "eligibility",
                                        "orchestrator");
-      VADA_RETURN_IF_ERROR(SyncControlFactsIfStale(kb));
+      {
+        obs::ScopedSpan sync_span(spans, control_sync_hist, "control_sync",
+                                  "orchestrator");
+        VADA_RETURN_IF_ERROR(SyncControlFactsIfStale(kb));
+      }
 
       // Phase 1: gating (mutates failure_state_; must stay sequential).
       std::vector<Transducer*> candidates;

@@ -1,9 +1,12 @@
 #ifndef VADA_TRANSDUCER_NETWORK_H_
 #define VADA_TRANSDUCER_NETWORK_H_
 
+#include <array>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -115,8 +118,10 @@ struct OrchestrationStats {
 };
 
 /// The dynamic orchestrator (the paper's network transducer). Repeatedly:
-///  1. materialises the sys_* control relations describing the KB
-///     (sys_relation_role, sys_relation_nonempty, sys_relation_attribute);
+///  1. brings the sys_* control relations describing the KB
+///     (sys_relation_role, sys_relation_nonempty, sys_relation_attribute)
+///     up to date, rebuilding them only when a relation's shape changed
+///     (SyncControlFactsIfStale);
 ///  2. finds eligible transducers: a relation or role the transducer's
 ///     last step read or wrote has moved since (its read-set key no
 ///     longer holds; DESIGN.md §5n) AND its input dependency derives
@@ -177,11 +182,16 @@ class NetworkTransducer {
   /// for tests.
   static Status SyncControlFacts(KnowledgeBase* kb);
 
-  /// SyncControlFacts, skipped when the KB's global version (and version
-  /// epoch) is unchanged since this instance's previous sync. Sound
-  /// because the sys_* relations are a pure function of the non-sys
-  /// relations, and every role change in the codebase rides on a
-  /// relation mutation (which bumps the global version).
+  /// SyncControlFacts, run only when the control facts may have moved
+  /// since this instance's previous sync: on the first sync, in a new
+  /// version epoch, after someone else wrote a sys_relation_* relation,
+  /// or when a non-sys relation's shape changed — it was created or
+  /// dropped, became empty or non-empty, or changed its role or
+  /// attribute names. A relation's rows in the control relations depend
+  /// on its shape alone, so a write that keeps every shape costs one
+  /// version comparison per relation and writes nothing. Catalog role
+  /// changes move no relation version (Catalog::SetRole moves only the
+  /// role's version), so the check also compares the role versions.
   Status SyncControlFactsIfStale(KnowledgeBase* kb);
 
   /// Names of transducers whose circuit is currently open, sorted.
@@ -230,6 +240,38 @@ class NetworkTransducer {
   /// construction; transducers with the same text share one entry).
   Result<Dependency*> DependencyFor(const std::string& source);
 
+  /// What one non-sys relation contributes to the control relations.
+  struct ControlShape {
+    std::optional<RelationRole> role;
+    bool nonempty = false;
+    std::vector<std::string> attributes;
+
+    /// The current shape of `name`, which `kb` must hold.
+    static ControlShape Of(const KnowledgeBase& kb, const std::string& name);
+    bool operator==(const ControlShape&) const = default;
+  };
+
+  /// What the control relations were last derived from: the KB's global
+  /// version, version epoch and catalog role versions, the versions of
+  /// the sys_relation_* relations after that sync, and the version and
+  /// shape of every non-sys relation. `synced` is false before the first
+  /// sync and after a failed rebuild.
+  struct ControlSync {
+    bool synced = false;
+    uint64_t global_version = 0;
+    uint64_t epoch = 0;
+    std::array<uint64_t, kRelationRoleCount> role_versions{};
+    std::array<uint64_t, 3> sys_versions{};
+    std::map<std::string, std::pair<uint64_t, ControlShape>> shapes;
+  };
+
+  /// Brings the remembered version and shape of every non-sys relation
+  /// up to date with `kb`, re-deriving the shape of each whose version
+  /// moved (of every one when `recheck_all`). Returns whether any shape
+  /// changed: a relation was created or dropped, or a re-derived shape
+  /// differs.
+  bool RefreshShapes(const KnowledgeBase& kb, bool recheck_all);
+
   TransducerRegistry* registry_;  // not owned
   std::unique_ptr<SchedulingPolicy> policy_;
   OrchestratorOptions options_;
@@ -239,8 +281,7 @@ class NetworkTransducer {
   std::map<std::string, ReadSetKey> keys_;
   std::map<std::string, FailureState> failure_state_;
   std::map<std::string, Dependency> dependencies_;
-  uint64_t control_synced_at_version_ = 0;
-  uint64_t control_synced_epoch_ = 0;
+  ControlSync control_;
   size_t next_step_ = 0;
   /// High-water mark of options_.pool->tasks_executed() already published
   /// to the vada_pool_tasks_total counter (published as deltas per Run).

@@ -475,23 +475,14 @@ Status FeedbackPropagationBody(WranglingState* state, KnowledgeBase* kb) {
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
 
-  // Lineage relations: raw and repaired rows merged per mapping id.
-  std::map<std::string, Relation> results;
+  // Lineage: each mapping's raw and repaired results, probed in place and
+  // looked up even when every item is attributed (a memo-free read set).
+  MappingOutputs outputs;
   for (const Mapping& m : mappings.value()) {
-    Relation merged(Schema("lineage_" + m.id,
-                           std::vector<Attribute>{}));
-    const Relation* raw = kb->FindRelation(m.result_predicate);
-    const Relation* repaired = kb->FindRelation("repaired_" + m.id);
-    const Relation* base = (raw != nullptr) ? raw : repaired;
-    if (base == nullptr) continue;
-    merged = Relation(Schema("lineage_" + m.id, base->schema().attributes()));
-    for (const Relation* part : {raw, repaired}) {
-      if (part == nullptr) continue;
-      for (const Tuple& row : part->rows()) {
-        VADA_RETURN_IF_ERROR(merged.InsertUnchecked(row));
-      }
+    for (const Relation* rel : {kb->FindRelation(m.result_predicate),
+                                kb->FindRelation("repaired_" + m.id)}) {
+      if (rel != nullptr) outputs[m.id].push_back(rel);
     }
-    results.emplace(m.id, std::move(merged));
   }
 
   std::vector<MatchCandidate> matches = ReadMatches(*kb, "match");
@@ -505,7 +496,7 @@ Status FeedbackPropagationBody(WranglingState* state, KnowledgeBase* kb) {
   for (size_t i = 0; i < items.size(); ++i) {
     if (state->attributed_feedback_items.count(i) > 0) continue;
     std::vector<MatchAttribution> part =
-        propagator.AttributeItem(items, i, mappings.value(), results, matches);
+        propagator.AttributeItem(items, i, mappings.value(), outputs, matches);
     if (part.empty()) continue;  // no lineage yet; retry on a later run
     state->attributed_feedback_items.insert(i);
     state->feedback_attributions.insert(state->feedback_attributions.end(),

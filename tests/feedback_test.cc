@@ -2,6 +2,7 @@
 
 #include "feedback/feedback.h"
 #include "feedback/propagation.h"
+#include "kb/knowledge_base.h"
 
 namespace vada {
 namespace {
@@ -40,6 +41,8 @@ TEST(FeedbackItemTest, ToStringMentionsPolarityAndAttribute) {
   EXPECT_NE(s.find("incorrect"), std::string::npos);
 }
 
+using SourceList = std::vector<std::pair<std::string, std::string>>;
+
 class PropagationTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -62,11 +65,114 @@ class PropagationTest : public ::testing::Test {
     };
   }
 
+  /// What the feedback body probes: each mapping's raw and repaired
+  /// results, where `kb` holds them.
+  static MappingOutputs OutputsIn(const KnowledgeBase& kb,
+                                  const std::vector<Mapping>& mappings) {
+    MappingOutputs outputs;
+    for (const Mapping& m : mappings) {
+      for (const Relation* rel : {kb.FindRelation(m.result_predicate),
+                                  kb.FindRelation("repaired_" + m.id)}) {
+        if (rel != nullptr) outputs[m.id].push_back(rel);
+      }
+    }
+    return outputs;
+  }
+
+  /// Creates `name` over the mapping's attributes in `kb`, holding `rows`.
+  static void AddResult(KnowledgeBase* kb, const std::string& name,
+                        const std::vector<Tuple>& rows) {
+    ASSERT_TRUE(
+        kb->CreateRelation(Schema::Untyped(name, {"bedrooms", "price"})).ok());
+    for (const Tuple& row : rows) ASSERT_TRUE(kb->Insert(name, row).ok());
+  }
+
+  /// (source relation, source attribute) of each attribution.
+  static SourceList Sources(const std::vector<MatchAttribution>& attributions) {
+    SourceList out;
+    for (const MatchAttribution& a : attributions) {
+      out.emplace_back(a.source_relation, a.source_attribute);
+    }
+    return out;
+  }
+
   Mapping mapping_;
   Tuple tuple_;
   std::map<std::string, Relation> results_;
   std::vector<MatchCandidate> matches_;
 };
+
+TEST_F(PropagationTest, AttributeItemFindsTupleOnlyInRepairedResult) {
+  KnowledgeBase kb;
+  // Repair rewrote the annotated row: the raw result no longer holds it.
+  AddResult(&kb, "mapping_result_m0",
+            {Tuple({Value::Int(2), Value::Int(100000)})});
+  AddResult(&kb, "repaired_m0", {tuple_});
+  const std::vector<FeedbackItem> items = {
+      {tuple_, "bedrooms", FeedbackPolarity::kIncorrect}};
+  FeedbackPropagator propagator;
+  EXPECT_EQ(Sources(propagator.AttributeItem(
+                items, 0, {mapping_}, OutputsIn(kb, {mapping_}), matches_)),
+            (SourceList{{"rightmove", "bedrooms"}}));
+}
+
+TEST_F(PropagationTest, AttributeItemFindsTupleOnlyInRawResult) {
+  KnowledgeBase kb;
+  AddResult(&kb, "mapping_result_m0", {tuple_});
+  AddResult(&kb, "repaired_m0", {Tuple({Value::Int(2), Value::Int(100000)})});
+  const std::vector<FeedbackItem> items = {
+      {tuple_, "", FeedbackPolarity::kIncorrect}};
+  FeedbackPropagator propagator;
+  // Tuple-level: every covered attribute's match, at the weaker strength.
+  std::vector<MatchAttribution> got = propagator.AttributeItem(
+      items, 0, {mapping_}, OutputsIn(kb, {mapping_}), matches_);
+  EXPECT_EQ(Sources(got),
+            (SourceList{{"rightmove", "bedrooms"}, {"rightmove", "price"}}));
+  for (const MatchAttribution& a : got) {
+    EXPECT_DOUBLE_EQ(a.strength, PropagatorOptions().tuple_level_factor);
+  }
+}
+
+TEST_F(PropagationTest, AttributeItemRetriesUntilTupleAppears) {
+  KnowledgeBase kb;
+  AddResult(&kb, "mapping_result_m0",
+            {Tuple({Value::Int(3), Value::Int(90000)})});
+  AddResult(&kb, "repaired_m0", {Tuple({Value::Int(3), Value::Int(90000)})});
+  const std::vector<FeedbackItem> items = {
+      {tuple_, "bedrooms", FeedbackPolarity::kIncorrect}};
+  FeedbackPropagator propagator;
+  EXPECT_TRUE(propagator
+                  .AttributeItem(items, 0, {mapping_},
+                                 OutputsIn(kb, {mapping_}), matches_)
+                  .empty());
+  // A later run of the mapping produces the annotated tuple.
+  ASSERT_TRUE(kb.Insert("repaired_m0", tuple_).ok());
+  EXPECT_EQ(Sources(propagator.AttributeItem(
+                items, 0, {mapping_}, OutputsIn(kb, {mapping_}), matches_)),
+            (SourceList{{"rightmove", "bedrooms"}}));
+}
+
+TEST_F(PropagationTest, AttributeItemSkipsMappingWithNoResultInKb) {
+  // m0 has neither a raw nor a repaired result in the KB; m1, over
+  // another source, holds the annotated tuple.
+  Mapping other = mapping_;
+  other.id = "m1";
+  other.source_relations = {"other"};
+  other.result_predicate = "mapping_result_m1";
+  KnowledgeBase kb;
+  AddResult(&kb, "mapping_result_m1", {tuple_});
+  const std::vector<FeedbackItem> items = {
+      {tuple_, "bedrooms", FeedbackPolarity::kIncorrect}};
+  FeedbackPropagator propagator;
+  EXPECT_TRUE(propagator
+                  .AttributeItem(items, 0, {mapping_},
+                                 OutputsIn(kb, {mapping_}), matches_)
+                  .empty());
+  const std::vector<Mapping> both = {mapping_, other};
+  EXPECT_EQ(Sources(propagator.AttributeItem(items, 0, both,
+                                             OutputsIn(kb, both), matches_)),
+            (SourceList{{"other", "bedrooms"}}));
+}
 
 TEST_F(PropagationTest, AttributeFeedbackPenalizesFeedingMatch) {
   FeedbackPropagator propagator;

@@ -20,7 +20,10 @@ namespace vada {
 /// idempotent, or that reads state kept outside the KB — goes unnoticed
 /// at run time. After a Run has reached its fixpoint, Offenders()
 /// re-executes every captured transducer whose input dependency holds and
-/// reports each one that moves the KB.
+/// reports each one that moves the KB. It first rebuilds the sys_*
+/// control relations in full, which must move nothing: the
+/// orchestrator's shape-keyed sync (SyncControlFactsIfStale) skips only
+/// rebuilds that would have written nothing.
 class FixpointAuditor {
  public:
   /// A registry decorator that captures each transducer as it is
@@ -39,10 +42,16 @@ class FixpointAuditor {
   /// Names of the captured transducers that, re-executed on `kb` while
   /// their input dependency holds, moved its global version or failed.
   /// Their writes are rolled back; other re-executions change nothing.
+  /// "control facts (stale)" leads the list when the full rebuild of the
+  /// control relations changed them.
   std::vector<std::string> Offenders(KnowledgeBase* kb) const {
+    const uint64_t synced = kb->global_version();
     Status sync = NetworkTransducer::SyncControlFacts(kb);
     if (!sync.ok()) return {"control facts: " + sync.ToString()};
     std::vector<std::string> offenders;
+    if (kb->global_version() != synced) {
+      offenders.push_back("control facts (stale)");
+    }
     for (Transducer* t : captured_) {
       Result<std::vector<Tuple>> ready =
           datalog::QueryKnowledgeBase(t->input_dependency(), *kb, "ready");
