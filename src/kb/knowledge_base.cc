@@ -107,13 +107,17 @@ Status KnowledgeBase::Assert(const std::string& relation_name,
 }
 
 Status KnowledgeBase::InsertAll(const Relation& relation) {
+  // All or nothing: every row is checked before anything is created or
+  // inserted, so a type error leaves the KB, its versions and the logs
+  // as they were. The KB's relation, when present, has this very schema.
+  VADA_RETURN_IF_ERROR(relation.TypeCheck());
   VADA_RETURN_IF_ERROR(EnsureRelation(relation.schema()));
   WillMutate(relation.name());
   auto it = relations_.find(relation.name());
   bool any = false;
   for (const Tuple& row : relation.rows()) {
     bool added = false;
-    VADA_RETURN_IF_ERROR(it->second.Insert(row, &added));
+    VADA_RETURN_IF_ERROR(it->second.InsertUnchecked(row, &added));
     if (added) {
       ++facts_added_;
       if (durability_ != nullptr) durability_->LogInsert(relation.name(), row);
@@ -194,7 +198,7 @@ Status KnowledgeBase::DropRelation(const std::string& name) {
   return Status::OK();
 }
 
-Status KnowledgeBase::ReplaceRelation(const Relation& relation) {
+Status KnowledgeBase::ReplaceRelation(Relation relation) {
   Touch(relation.name());
   auto it = relations_.find(relation.name());
   if (it == relations_.end()) {
@@ -204,60 +208,51 @@ Status KnowledgeBase::ReplaceRelation(const Relation& relation) {
     return Status::FailedPrecondition(
         "relation " + relation.name() + " exists with a different schema");
   }
-  WillMutate(relation.name());
+  const std::string& name = it->first;
   facts_removed_ += it->second.size();
   facts_added_ += relation.size();
   // The delta log records the *effective* row changes of a replace —
-  // diffed before the wholesale assignment below destroys the old rows.
+  // diffed before the move below destroys the old rows.
   if (delta_log_ != nullptr) {
     const uint64_t version = global_version_ + 1;  // the Bump below
     for (const Tuple& row : it->second.rows()) {
-      if (!relation.Contains(row)) {
-        delta_log_->OnRetract(relation.name(), row, version);
-      }
+      if (!relation.Contains(row)) delta_log_->OnRetract(name, row, version);
     }
     for (const Tuple& row : relation.rows()) {
-      if (!it->second.Contains(row)) {
-        delta_log_->OnInsert(relation.name(), row, version);
-      }
+      if (!it->second.Contains(row)) delta_log_->OnInsert(name, row, version);
     }
   }
-  it->second = relation;
-  Bump(relation.name());
+  // An active guard takes the old relation as its pre-image (on first
+  // touch); the new one is move-assigned into the same map node, so
+  // pointers from FindRelation stay valid and show the new rows.
+  if (guard_ != nullptr) guard_->OnReplace(name, &it->second);
+  it->second = std::move(relation);
+  Bump(name);
   if (durability_ != nullptr) {
     // Logical form of a replace: clear, then the new row set. The
     // relation's creation (when it was absent) was logged above by
     // CreateRelation.
-    durability_->LogClear(relation.name());
-    for (const Tuple& row : relation.rows()) {
-      durability_->LogInsert(relation.name(), row);
+    durability_->LogClear(name);
+    for (const Tuple& row : it->second.rows()) {
+      durability_->LogInsert(name, row);
     }
   }
   return Status::OK();
 }
 
-Status KnowledgeBase::ReplaceRelationIfChanged(const Relation& relation,
+Status KnowledgeBase::ReplaceRelationIfChanged(Relation relation,
                                                bool* changed) {
   // Recorded even when nothing changes: the caller's output stays in its
   // read set, so a later write by anyone else re-enables the caller.
   Touch(relation.name());
   auto it = relations_.find(relation.name());
   if (it != relations_.end() && it->second.schema() == relation.schema() &&
-      it->second.size() == relation.size()) {
-    bool same = true;
-    for (const Tuple& row : relation.rows()) {
-      if (!it->second.Contains(row)) {
-        same = false;
-        break;
-      }
-    }
-    if (same) {
-      if (changed != nullptr) *changed = false;
-      return Status::OK();
-    }
+      it->second.SameRows(relation)) {
+    if (changed != nullptr) *changed = false;
+    return Status::OK();
   }
   if (changed != nullptr) *changed = true;
-  return ReplaceRelation(relation);
+  return ReplaceRelation(std::move(relation));
 }
 
 uint64_t KnowledgeBase::relation_version(const std::string& name) const {

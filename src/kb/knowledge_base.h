@@ -70,7 +70,9 @@ class KnowledgeBase {
   Status Assert(const std::string& relation_name,
                 std::initializer_list<Value> values);
 
-  /// Ensures `relation.schema()` exists and inserts all rows.
+  /// Ensures `relation.schema()` exists and inserts all rows. All or
+  /// nothing: when a row fails the type check, nothing is created or
+  /// inserted and no version moves.
   Status InsertAll(const Relation& relation);
 
   /// Removes one tuple; bumps versions when the tuple was present.
@@ -84,14 +86,21 @@ class KnowledgeBase {
 
   /// Replaces the contents of `relation.name()` with `relation`'s rows
   /// (creating it if needed). Single version bump.
-  Status ReplaceRelation(const Relation& relation);
+  ///
+  /// Takes ownership: writers hand over a freshly built relation with
+  /// std::move, and the KB move-assigns it into the map node of the old
+  /// relation, so no row is copied and a `const Relation*` from
+  /// FindRelation keeps pointing at the (new) contents. An active
+  /// WriteGuard receives the old relation by move as its pre-image.
+  Status ReplaceRelation(Relation relation);
 
   /// Like ReplaceRelation but bumps versions only when the row set (or
   /// schema) actually differs. Transducers use this so that re-running on
   /// unchanged inputs is a no-op — the convergence condition of the
-  /// dynamic orchestrator. Sets `*changed` (optional) accordingly.
-  Status ReplaceRelationIfChanged(const Relation& relation,
-                                  bool* changed = nullptr);
+  /// dynamic orchestrator. Sets `*changed` (optional) accordingly. Takes
+  /// ownership like ReplaceRelation; an unchanged `relation` is simply
+  /// destroyed, and the KB keeps its own row order.
+  Status ReplaceRelationIfChanged(Relation relation, bool* changed = nullptr);
 
   /// Version counters: 0 for unknown relations; bumped on every mutation.
   uint64_t relation_version(const std::string& name) const;
@@ -158,9 +167,11 @@ class KnowledgeBase {
     if (access_log_ != nullptr) access_log_->relations.insert(name);
   }
 
-  /// Mutation hook: every mutating method calls this with the relation
-  /// about to change, before changing it, so an active WriteGuard can
-  /// save the pre-image (copy-on-write rollback; see write_guard.h).
+  /// Mutation hook: every in-place mutating method calls this with the
+  /// relation about to change, before changing it, so an active
+  /// WriteGuard can copy the pre-image (copy-on-write rollback; see
+  /// write_guard.h). ReplaceRelation hands the guard the old relation by
+  /// move instead (WriteGuard::OnReplace).
   void WillMutate(const std::string& name);
 
   std::map<std::string, Relation> relations_;

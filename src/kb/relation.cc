@@ -24,32 +24,103 @@ Status Relation::CheckTuple(const Tuple& t, bool type_check) const {
   return Status::OK();
 }
 
+namespace {
+
+/// Slot where a probe for `hash` starts. Tuple hashes of small integers
+/// are close to the identity, so the bits are mixed before masking.
+size_t HomeSlot(size_t hash, size_t mask) {
+  uint64_t h = static_cast<uint64_t>(hash) * 0x9E3779B97F4A7C15ull;
+  return static_cast<size_t>(h ^ (h >> 32)) & mask;
+}
+
+}  // namespace
+
 Status Relation::Insert(Tuple t, bool* added) {
-  VADA_RETURN_IF_ERROR(CheckTuple(t, /*type_check=*/true));
-  bool is_new = index_.insert(t).second;
-  if (is_new) rows_.push_back(std::move(t));
-  if (added != nullptr) *added = is_new;
-  return Status::OK();
+  return Add(std::move(t), /*type_check=*/true, added);
 }
 
 Status Relation::InsertUnchecked(Tuple t, bool* added) {
-  VADA_RETURN_IF_ERROR(CheckTuple(t, /*type_check=*/false));
-  bool is_new = index_.insert(t).second;
-  if (is_new) rows_.push_back(std::move(t));
-  if (added != nullptr) *added = is_new;
+  return Add(std::move(t), /*type_check=*/false, added);
+}
+
+Status Relation::Add(Tuple t, bool type_check, bool* added) {
+  VADA_RETURN_IF_ERROR(CheckTuple(t, type_check));
+  const size_t hash = t.Hash();
+  size_t slot = 0;
+  if (!slots_.empty()) {
+    slot = Probe(t, hash);
+    if (slots_[slot] != kEmptySlot) {  // already present
+      if (added != nullptr) *added = false;
+      return Status::OK();
+    }
+  }
+  // A new row: grow first when it would push the load above 1/2.
+  if (slots_.size() < 2 * (rows_.size() + 1)) {
+    Rehash(std::max<size_t>(8, 2 * slots_.size()));
+    slot = Probe(t, hash);
+  }
+  slots_[slot] = static_cast<uint32_t>(rows_.size());
+  rows_.push_back(std::move(t));
+  hashes_.push_back(hash);
+  if (added != nullptr) *added = true;
+  return Status::OK();
+}
+
+size_t Relation::Probe(const Tuple& t, size_t hash) const {
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = HomeSlot(hash, mask);; i = (i + 1) & mask) {
+    const uint32_t id = slots_[i];
+    if (id == kEmptySlot || (hashes_[id] == hash && rows_[id] == t)) return i;
+  }
+}
+
+void Relation::Rehash(size_t slot_count) {
+  slots_.assign(slot_count, kEmptySlot);
+  const size_t mask = slot_count - 1;
+  for (size_t id = 0; id < hashes_.size(); ++id) {
+    size_t i = HomeSlot(hashes_[id], mask);
+    while (slots_[i] != kEmptySlot) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(id);
+  }
+}
+
+bool Relation::Contains(const Tuple& t) const {
+  return !slots_.empty() && slots_[Probe(t, t.Hash())] != kEmptySlot;
+}
+
+bool Relation::SameRows(const Relation& other) const {
+  if (rows_.size() != other.rows_.size()) return false;
+  for (size_t i = 0; i < other.rows_.size(); ++i) {
+    if (slots_[Probe(other.rows_[i], other.hashes_[i])] == kEmptySlot) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Status Relation::TypeCheck() const {
+  for (const Tuple& row : rows_) {
+    VADA_RETURN_IF_ERROR(CheckTuple(row, /*type_check=*/true));
+  }
   return Status::OK();
 }
 
 bool Relation::Erase(const Tuple& t) {
-  if (index_.erase(t) == 0) return false;
-  auto it = std::find(rows_.begin(), rows_.end(), t);
-  if (it != rows_.end()) rows_.erase(it);
+  if (slots_.empty()) return false;
+  const uint32_t id = slots_[Probe(t, t.Hash())];
+  if (id == kEmptySlot) return false;
+  rows_.erase(rows_.begin() + id);
+  hashes_.erase(hashes_.begin() + id);
+  // The rows behind `id` moved down by one: renumber by rebuilding the
+  // table from the cached hashes (linear, like the erase itself).
+  Rehash(slots_.size());
   return true;
 }
 
 void Relation::Clear() {
   rows_.clear();
-  index_.clear();
+  hashes_.clear();
+  slots_.clear();
 }
 
 Result<Relation> Relation::Project(
@@ -126,10 +197,10 @@ std::string Relation::ToDebugString(size_t max_rows) const {
 
 size_t Relation::ApproxBytes() const {
   size_t bytes = sizeof(Relation) +
-                 (rows_.capacity() - rows_.size()) * sizeof(Tuple);
+                 (rows_.capacity() - rows_.size()) * sizeof(Tuple) +
+                 hashes_.capacity() * sizeof(size_t) +
+                 slots_.capacity() * sizeof(uint32_t);
   for (const Tuple& row : rows_) bytes += row.ApproxBytes();
-  for (const Tuple& row : index_) bytes += row.ApproxBytes();
-  bytes += index_.bucket_count() * sizeof(void*);
   return bytes;
 }
 

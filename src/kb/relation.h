@@ -1,8 +1,8 @@
 #ifndef VADA_KB_RELATION_H_
 #define VADA_KB_RELATION_H_
 
+#include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -13,6 +13,12 @@ namespace vada {
 
 /// A set-semantics relation instance: a schema plus deduplicated rows in
 /// insertion order. Insertions are type-checked against the schema.
+///
+/// Each row is stored once, in `rows()`. Deduplication goes through a
+/// flat open-addressing table of 32-bit row ids (linear probing, load at
+/// most 1/2) keyed by one cached hash per row, so copies, moves and
+/// rehashes never hash a tuple again. A relation therefore holds fewer
+/// than 2^32 - 1 rows.
 class Relation {
  public:
   Relation() = default;
@@ -32,10 +38,18 @@ class Relation {
   /// Used by internal engines that construct well-typed tuples in bulk.
   Status InsertUnchecked(Tuple t, bool* added = nullptr);
 
-  /// Removes `t` if present; returns whether a row was removed.
+  /// Removes `t` if present, keeping the order of the remaining rows;
+  /// returns whether a row was removed. O(size()).
   bool Erase(const Tuple& t);
 
-  bool Contains(const Tuple& t) const { return index_.count(t) > 0; }
+  bool Contains(const Tuple& t) const;
+
+  /// Whether both relations hold the same set of rows, in any order.
+  /// Schemas are not compared.
+  bool SameRows(const Relation& other) const;
+
+  /// OK when every row passes the arity and type checks Insert applies.
+  Status TypeCheck() const;
 
   void Clear();
 
@@ -56,17 +70,29 @@ class Relation {
   /// Multi-line table rendering for examples and traces.
   std::string ToDebugString(size_t max_rows = 20) const;
 
-  /// Approximate resident size of the relation: rows, the dedup hash
-  /// set (which stores a second copy of every row) and bucket arrays.
+  /// Approximate resident size of the relation: its rows, the per-row
+  /// hashes and the slot array of the dedup table.
   /// Feeds the `vada_kb_relation_bytes` gauge (DESIGN.md §5g).
   size_t ApproxBytes() const;
 
  private:
+  static constexpr uint32_t kEmptySlot = UINT32_MAX;
+
   Status CheckTuple(const Tuple& t, bool type_check) const;
+  Status Add(Tuple t, bool type_check, bool* added);
+
+  /// Index into slots_ of the row equal to `t` (whose hash is `hash`), or
+  /// of the empty slot that ends its probe sequence. Pre: !slots_.empty().
+  size_t Probe(const Tuple& t, size_t hash) const;
+
+  /// Rebuilds slots_ with `slot_count` (a power of two) slots from the
+  /// cached hashes.
+  void Rehash(size_t slot_count);
 
   Schema schema_;
   std::vector<Tuple> rows_;
-  std::unordered_set<Tuple, TupleHash> index_;
+  std::vector<size_t> hashes_;   // hashes_[i] == rows_[i].Hash()
+  std::vector<uint32_t> slots_;  // row ids or kEmptySlot; size 0 or 2^k
 };
 
 }  // namespace vada

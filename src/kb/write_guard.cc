@@ -36,6 +36,11 @@ void WriteGuard::OnMutation(const std::string& relation) {
   }
 }
 
+void WriteGuard::OnReplace(const std::string& relation, Relation* current) {
+  // try_emplace leaves *current alone when a pre-image is already saved.
+  touched_.try_emplace(relation, std::move(*current));
+}
+
 void WriteGuard::Commit() {
   if (done_) return;
   done_ = true;
@@ -49,11 +54,20 @@ void WriteGuard::Rollback() {
   done_ = true;
   kb_->guard_ = nullptr;
   for (auto& [name, pre_image] : touched_) {
-    if (pre_image.has_value()) {
-      kb_->relations_.insert_or_assign(name, std::move(*pre_image));
-    } else {
+    if (!pre_image.has_value()) {
       kb_->relations_.erase(name);
+      continue;
     }
+    // Every effective mutation bumps the relation's version, so one whose
+    // version did not move still holds exactly its pre-image's rows; it
+    // stays as it is (capacity included, which the byte gauges read).
+    auto saved = versions_.find(name);
+    auto current = kb_->versions_.find(name);
+    if (saved != versions_.end() && current != kb_->versions_.end() &&
+        saved->second == current->second) {
+      continue;
+    }
+    kb_->relations_.insert_or_assign(name, std::move(*pre_image));
   }
   kb_->versions_ = std::move(versions_);
   if (kb_->global_version_ != global_version_) ++kb_->version_epoch_;

@@ -13,14 +13,19 @@ namespace vada {
 
 /// Transactional write-guard over a KnowledgeBase (DESIGN.md §5d).
 ///
-/// While a guard is active, the knowledge base snapshots every relation
-/// lazily on its first mutation (copy-on-write of touched relations).
+/// While a guard is active, the knowledge base saves every relation's
+/// pre-image lazily on its first mutation: a relation replaced wholesale
+/// (ReplaceRelation*) hands its old contents over by move, and one
+/// mutated in place (Insert, Retract, ClearRelation, InsertAll, drops)
+/// is copied.
 /// Rollback() restores the KB *exactly* as it was at construction —
 /// relation contents and row order, per-relation and global version
 /// counters, the facts_added/facts_removed lifetime counters, and the
 /// catalog roles — so a failed or timed-out transducer Execute() leaves
-/// no trace in the KB. The orchestrator wraps every Execute() in a guard
-/// and commits only on success.
+/// no trace in the KB. A touched relation whose version did not move
+/// holds its pre-image's rows already and is left in place. The
+/// orchestrator wraps every Execute() in a guard and commits only on
+/// success.
 ///
 ///   {
 ///     WriteGuard guard(&kb);
@@ -59,10 +64,15 @@ class WriteGuard {
  private:
   friend class KnowledgeBase;
 
-  /// Called by the KB right before any mutation of `relation`; saves the
-  /// relation's pre-image on first touch (or records its absence so a
-  /// created relation is dropped again on rollback).
+  /// Called by the KB right before any in-place mutation of `relation`;
+  /// saves a copy of the relation's pre-image on first touch (or records
+  /// its absence so a created relation is dropped again on rollback).
   void OnMutation(const std::string& relation);
+
+  /// Called by the KB right before it move-assigns new contents into
+  /// `*current`, the KB's relation `relation`: on first touch, moves the
+  /// old contents into the pre-image instead of copying them.
+  void OnReplace(const std::string& relation, Relation* current);
 
   KnowledgeBase* kb_;
   bool done_ = false;

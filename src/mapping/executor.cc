@@ -7,6 +7,25 @@
 
 namespace vada {
 
+namespace {
+
+/// The mapping's result relation: `facts` sorted, then moved in.
+Result<Relation> SortedResult(const Mapping& mapping, const Schema& target,
+                              std::vector<Tuple> facts) {
+  std::sort(facts.begin(), facts.end());
+  Relation out(Schema(mapping.result_predicate, target.attributes()));
+  for (Tuple& t : facts) {
+    if (t.size() != target.arity()) {
+      return Status::Internal("mapping " + mapping.id +
+                              " produced tuple of wrong arity");
+    }
+    VADA_RETURN_IF_ERROR(out.InsertUnchecked(std::move(t)));
+  }
+  return out;
+}
+
+}  // namespace
+
 Result<Relation> MappingExecutor::Execute(const Mapping& mapping,
                                           const Schema& target,
                                           const KnowledgeBase& kb,
@@ -36,19 +55,7 @@ Result<Relation> MappingExecutor::Execute(const Mapping& mapping,
   datalog::Evaluator eval(program.value(), eval_options);
   VADA_RETURN_IF_ERROR(eval.Prepare());
   VADA_RETURN_IF_ERROR(eval.Run(&db, /*stats=*/nullptr, provenance));
-  std::vector<Tuple> sorted = db.facts(mapping.result_predicate);
-  std::sort(sorted.begin(), sorted.end());
-  Result<std::vector<Tuple>> facts = std::move(sorted);
-
-  Relation out(Schema(mapping.result_predicate, target.attributes()));
-  for (const Tuple& t : facts.value()) {
-    if (t.size() != target.arity()) {
-      return Status::Internal("mapping " + mapping.id +
-                              " produced tuple of wrong arity");
-    }
-    VADA_RETURN_IF_ERROR(out.InsertUnchecked(t));
-  }
-  return out;
+  return SortedResult(mapping, target, db.facts(mapping.result_predicate));
 }
 
 Result<Relation> MappingExecutor::ExecuteIncremental(
@@ -116,18 +123,8 @@ Result<Relation> MappingExecutor::ExecuteIncremental(
   // Same result construction as Execute: the maintained database is
   // row-equal to a from-scratch evaluation (the differential fuzz
   // proves it), and the sort erases any row-order difference.
-  std::vector<Tuple> sorted =
-      state->eval->database().facts(mapping.result_predicate);
-  std::sort(sorted.begin(), sorted.end());
-  Relation out(Schema(mapping.result_predicate, target.attributes()));
-  for (const Tuple& t : sorted) {
-    if (t.size() != target.arity()) {
-      return Status::Internal("mapping " + mapping.id +
-                              " produced tuple of wrong arity");
-    }
-    VADA_RETURN_IF_ERROR(out.InsertUnchecked(t));
-  }
-  return out;
+  return SortedResult(mapping, target,
+                      state->eval->database().facts(mapping.result_predicate));
 }
 
 Result<Relation> MappingExecutor::ExecuteUnion(

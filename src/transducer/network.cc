@@ -168,9 +168,9 @@ Status NetworkTransducer::SyncControlFacts(KnowledgeBase* kb) {
           Tuple({Value::String(name), Value::String(a.name)})));
     }
   }
-  VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(roles));
-  VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(nonempty));
-  VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(attrs));
+  VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(std::move(roles)));
+  VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(std::move(nonempty)));
+  VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(std::move(attrs)));
   return Status::OK();
 }
 

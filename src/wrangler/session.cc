@@ -1,5 +1,9 @@
 #include "wrangler/session.h"
 
+#include <map>
+#include <string_view>
+#include <unordered_map>
+
 #include "common/logging.h"
 #include "datalog/analysis/analyzer.h"
 #include "datalog/kb_adapter.h"
@@ -180,7 +184,7 @@ Status WranglingSession::AddFeedback(const FeedbackItem& item) {
                  Value::Int(static_cast<int64_t>(numbered.size()))})));
     }
     VADA_RETURN_IF_ERROR(kb_.DropRelation(name));
-    VADA_RETURN_IF_ERROR(kb_.ReplaceRelation(numbered));
+    VADA_RETURN_IF_ERROR(kb_.ReplaceRelation(std::move(numbered)));
   }
   VADA_RETURN_IF_ERROR(kb_.EnsureRelation(schema));
   const int64_t seq = static_cast<int64_t>(kb_.FindRelation(name)->size());
@@ -265,68 +269,137 @@ Status WranglingSession::Checkpoint() {
   return durability_->Checkpoint();
 }
 
+/// PublishKbGauges' gauge handles, resolved once per session, and per
+/// relation the (version epoch, relation version) its gauges were last
+/// set at.
+struct WranglingSession::KbGauges {
+  /// Version 0 means never set: a live relation's version is at least 1.
+  struct RelationGauges {
+    obs::Gauge* rows = nullptr;
+    obs::Gauge* bytes = nullptr;
+    uint64_t epoch = 0;
+    uint64_t version = 0;
+    size_t byte_count = 0;
+  };
+
+  explicit KbGauges(obs::MetricsRegistry* m) : registry(m) {}
+
+  /// The unlabelled gauge `name`; `name` is a string literal.
+  obs::Gauge* Fixed(std::string_view name, const char* help) {
+    obs::Gauge*& gauge = fixed[name];
+    if (gauge == nullptr) gauge = registry->GetGauge(std::string(name), help);
+    return gauge;
+  }
+
+  RelationGauges ForRelation(const std::string& name) const {
+    RelationGauges g;
+    g.rows = registry->GetGauge("vada_kb_relation_rows",
+                                "Current relation cardinality",
+                                {{"relation", name}});
+    g.bytes = registry->GetGauge(
+        "vada_kb_relation_bytes",
+        "Approximate resident bytes of one relation (rows, per-row "
+        "hashes, slot array)",
+        {{"relation", name}});
+    return g;
+  }
+
+  obs::MetricsRegistry* registry;
+  std::unordered_map<std::string_view, obs::Gauge*> fixed;
+  /// Every relation ever published, the dropped ones included.
+  std::map<std::string, RelationGauges> by_relation;
+};
+
+WranglingSession::~WranglingSession() = default;
+
 void WranglingSession::PublishKbGauges() const {
   obs::MetricsRegistry* m = obs_->metrics();
   if (m == nullptr) return;
+  obs::ScopedSpan span(obs_->spans(), /*histogram=*/nullptr,
+                       "session.publish_gauges", "session");
+  if (kb_gauges_ == nullptr) kb_gauges_ = std::make_unique<KbGauges>(m);
+  KbGauges& g = *kb_gauges_;
+
+  // Per relation, walking the sorted names and the sorted cache in step:
+  // bytes are re-measured only for relations that moved, and relations
+  // that left the KB read 0.
+  const std::vector<std::string> names = kb_.RelationNames();
+  const uint64_t epoch = kb_.version_epoch();
   size_t kb_bytes = 0;
-  for (const std::string& name : kb_.RelationNames()) {
-    const Relation* rel = kb_.FindRelation(name);
-    if (rel == nullptr) continue;
-    m->GetGauge("vada_kb_relation_rows", "Current relation cardinality",
-                {{"relation", name}})
-        ->Set(static_cast<int64_t>(rel->size()));
-    size_t bytes = rel->ApproxBytes();
-    kb_bytes += bytes;
-    m->GetGauge("vada_kb_relation_bytes",
-                "Approximate resident bytes of one relation (rows, dedup "
-                "set, bucket arrays)",
-                {{"relation", name}})
-        ->Set(static_cast<int64_t>(bytes));
+  auto set = [](KbGauges::RelationGauges* rg, size_t rows, size_t bytes) {
+    rg->rows->Set(static_cast<int64_t>(rows));
+    rg->bytes->Set(static_cast<int64_t>(bytes));
+    rg->byte_count = bytes;
+  };
+  auto forget = [&set](KbGauges::RelationGauges* rg) {
+    set(rg, 0, 0);
+    rg->version = 0;
+  };
+  auto it = g.by_relation.begin();
+  for (const std::string& name : names) {
+    for (; it != g.by_relation.end() && it->first < name; ++it) {
+      forget(&it->second);
+    }
+    if (it == g.by_relation.end() || it->first != name) {
+      it = g.by_relation.emplace_hint(it, name, g.ForRelation(name));
+    }
+    KbGauges::RelationGauges& rg = it->second;
+    const uint64_t version = kb_.relation_version(name);
+    if (rg.epoch != epoch || rg.version != version) {
+      const Relation* rel = kb_.FindRelation(name);
+      set(&rg, rel->size(), rel->ApproxBytes());
+      rg.epoch = epoch;
+      rg.version = version;
+    }
+    kb_bytes += rg.byte_count;
+    ++it;
   }
-  m->GetGauge("vada_kb_relations", "Number of registered relations")
-      ->Set(static_cast<int64_t>(kb_.RelationNames().size()));
-  m->GetGauge("vada_kb_global_version",
-              "KB global version (bumped on every mutation)")
+  for (; it != g.by_relation.end(); ++it) forget(&it->second);
+
+  g.Fixed("vada_kb_relations", "Number of registered relations")
+      ->Set(static_cast<int64_t>(names.size()));
+  g.Fixed("vada_kb_global_version",
+          "KB global version (bumped on every mutation)")
       ->Set(static_cast<int64_t>(kb_.global_version()));
-  m->GetGauge("vada_kb_facts_added", "Lifetime facts added to the KB")
+  g.Fixed("vada_kb_facts_added", "Lifetime facts added to the KB")
       ->Set(static_cast<int64_t>(kb_.facts_added()));
-  m->GetGauge("vada_kb_facts_removed", "Lifetime facts removed from the KB")
+  g.Fixed("vada_kb_facts_removed", "Lifetime facts removed from the KB")
       ->Set(static_cast<int64_t>(kb_.facts_removed()));
   // Duplicate-detection work over the session's fusion runs.
   const DedupStats& dedup = state_->dedup_stats;
-  m->GetGauge("vada_dedup_pairs_considered",
-              "Candidate record pairs duplicate detection examined")
+  g.Fixed("vada_dedup_pairs_considered",
+          "Candidate record pairs duplicate detection examined")
       ->Set(static_cast<int64_t>(dedup.pairs_considered));
-  m->GetGauge("vada_dedup_pairs_pruned",
-              "Candidate pairs ruled out early, by the score bound or for "
-              "sharing too few attributes")
+  g.Fixed("vada_dedup_pairs_pruned",
+          "Candidate pairs ruled out early, by the score bound or for "
+          "sharing too few attributes")
       ->Set(static_cast<int64_t>(dedup.pairs_pruned));
-  m->GetGauge("vada_dedup_pairs_scored",
-              "Candidate pairs whose exact similarity was computed")
+  g.Fixed("vada_dedup_pairs_scored",
+          "Candidate pairs whose exact similarity was computed")
       ->Set(static_cast<int64_t>(dedup.pairs_scored));
-  m->GetGauge("vada_dedup_pairs_matched",
-              "Candidate pairs at or above the duplicate threshold")
+  g.Fixed("vada_dedup_pairs_matched",
+          "Candidate pairs at or above the duplicate threshold")
       ->Set(static_cast<int64_t>(dedup.pairs_matched));
-  m->GetGauge("vada_dedup_blocks_truncated",
-              "Blocks cut short by max_pairs_per_block")
+  g.Fixed("vada_dedup_blocks_truncated",
+          "Blocks cut short by max_pairs_per_block")
       ->Set(static_cast<int64_t>(dedup.blocks_truncated));
   // Persistent composite join indexes live only on cached snapshot
   // databases (per-evaluation scratch copies die with their run).
   size_t index_bytes = state_->snapshot_cache.ApproxIndexBytes();
-  m->GetGauge("vada_index_bytes",
-              "Approximate resident bytes of composite join indexes on "
-              "cached relation snapshots")
+  g.Fixed("vada_index_bytes",
+          "Approximate resident bytes of composite join indexes on "
+          "cached relation snapshots")
       ->Set(static_cast<int64_t>(index_bytes));
   // The process-wide symbol table backing the columnar Datalog engine.
   // Monotone by design (ids are never recycled); these gauges are how
   // an operator watches dictionary growth across sessions.
   const datalog::SymbolTable& symtab = datalog::SymbolTable::Global();
-  m->GetGauge("vada_symtab_symbols",
-              "Distinct values interned in the process-wide symbol table")
+  g.Fixed("vada_symtab_symbols",
+          "Distinct values interned in the process-wide symbol table")
       ->Set(static_cast<int64_t>(symtab.size()));
-  m->GetGauge("vada_symtab_bytes",
-              "Approximate resident bytes of the process-wide symbol "
-              "table (id chunks, intern map, value payloads)")
+  g.Fixed("vada_symtab_bytes",
+          "Approximate resident bytes of the process-wide symbol "
+          "table (id chunks, intern map, value payloads)")
       ->Set(static_cast<int64_t>(symtab.ApproxBytes()));
   if (delta_log_ != nullptr) {
     datalog::DeltaStats agg;
@@ -344,39 +417,39 @@ void WranglingSession::PublishKbGauges() const {
       agg.facts_inserted += s.facts_inserted;
       agg.facts_retracted += s.facts_retracted;
     }
-    m->GetGauge("vada_delta_log_records",
-                "KB change-log records currently retained for "
-                "differential mapping maintenance")
+    g.Fixed("vada_delta_log_records",
+            "KB change-log records currently retained for "
+            "differential mapping maintenance")
         ->Set(static_cast<int64_t>(delta_log_->size()));
-    m->GetGauge("vada_delta_applies",
-                "Delta batches applied across maintained mappings")
+    g.Fixed("vada_delta_applies",
+            "Delta batches applied across maintained mappings")
         ->Set(static_cast<int64_t>(agg.applies));
-    m->GetGauge("vada_delta_full_reinits",
-                "Full mapping (re)initialisations, incl. each mapping's "
-                "first")
+    g.Fixed("vada_delta_full_reinits",
+            "Full mapping (re)initialisations, incl. each mapping's "
+            "first")
         ->Set(static_cast<int64_t>(full_inits));
-    m->GetGauge("vada_delta_full_fallbacks",
-                "Delta batches that exceeded max_delta_fraction and fell "
-                "back to one full re-run")
+    g.Fixed("vada_delta_full_fallbacks",
+            "Delta batches that exceeded max_delta_fraction and fell "
+            "back to one full re-run")
         ->Set(static_cast<int64_t>(agg.full_fallbacks));
-    m->GetGauge("vada_delta_strata_skipped",
-                "Strata skipped because no input of theirs changed")
+    g.Fixed("vada_delta_strata_skipped",
+            "Strata skipped because no input of theirs changed")
         ->Set(static_cast<int64_t>(agg.strata_skipped));
-    m->GetGauge("vada_delta_strata_counting",
-                "Strata maintained by counting-based delta sweeps")
+    g.Fixed("vada_delta_strata_counting",
+            "Strata maintained by counting-based delta sweeps")
         ->Set(static_cast<int64_t>(agg.strata_counting));
-    m->GetGauge("vada_delta_strata_monotone",
-                "Strata continued by insert-only semi-naive increments")
+    g.Fixed("vada_delta_strata_monotone",
+            "Strata continued by insert-only semi-naive increments")
         ->Set(static_cast<int64_t>(agg.strata_monotone));
-    m->GetGauge("vada_delta_strata_recomputed",
-                "Strata recomputed and diffed (negation/aggregates or "
-                "recursive retracts)")
+    g.Fixed("vada_delta_strata_recomputed",
+            "Strata recomputed and diffed (negation/aggregates or "
+            "recursive retracts)")
         ->Set(static_cast<int64_t>(agg.strata_recomputed));
-    m->GetGauge("vada_delta_facts_inserted",
-                "Facts inserted into maintained mapping fixpoints")
+    g.Fixed("vada_delta_facts_inserted",
+            "Facts inserted into maintained mapping fixpoints")
         ->Set(static_cast<int64_t>(agg.facts_inserted));
-    m->GetGauge("vada_delta_facts_retracted",
-                "Facts retracted from maintained mapping fixpoints")
+    g.Fixed("vada_delta_facts_retracted",
+            "Facts retracted from maintained mapping fixpoints")
         ->Set(static_cast<int64_t>(agg.facts_retracted));
   }
   if (durability_ != nullptr) durability_->PublishGauges();
@@ -387,7 +460,7 @@ void WranglingSession::PublishKbGauges() const {
     snap.name = state_->config.session_name;
     snap.fields = {
         {"target", state_->target_relation},
-        {"relations", std::to_string(kb_.RelationNames().size())},
+        {"relations", std::to_string(names.size())},
         {"kb_bytes", std::to_string(kb_bytes)},
         {"index_bytes", std::to_string(index_bytes)},
         {"global_version", std::to_string(kb_.global_version())},

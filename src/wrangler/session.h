@@ -52,6 +52,7 @@ struct SessionMetricsReport {
 class WranglingSession {
  public:
   explicit WranglingSession(WranglerConfig config = WranglerConfig());
+  ~WranglingSession();
 
   // Moves would invalidate the transducers' pointer to state_.
   WranglingSession(const WranglingSession&) = delete;
@@ -172,6 +173,12 @@ class WranglingSession {
   }
 
  private:
+  struct KbGauges;
+
+  /// Refreshes the KB gauges (DESIGN.md §5g) under span
+  /// `session.publish_gauges`. A relation's bytes are re-measured only
+  /// when its (version epoch, version) moved since the last call; the
+  /// gauges of a relation that left the KB read 0.
   void PublishKbGauges() const;
 
   /// Registration-time static analysis of a transducer's Vadalog (input
@@ -193,6 +200,9 @@ class WranglingSession {
   /// observability is disabled. Updated from PublishKbGauges, which
   /// const MetricsReport() also calls.
   mutable obs::SessionRegistry::SessionHandle session_handle_;
+  /// PublishKbGauges' gauge handles and per-relation byte counts; built
+  /// on its first call.
+  mutable std::unique_ptr<KbGauges> kb_gauges_;
   TransducerRegistry registry_;
   /// Worker pool backing config.parallelism (null when threads <= 1).
   /// Declared before the orchestrator, which borrows raw pointers to it

@@ -56,9 +56,11 @@ const Relation* EffectiveResult(const KnowledgeBase& kb, const Mapping& m) {
   return kb.FindRelation(m.result_predicate);
 }
 
-Status WriteMetadataRelation(KnowledgeBase* kb, const Relation& rel) {
-  VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(rel));
-  kb->catalog().SetRole(rel.name(), RelationRole::kMetadata);
+/// Hands `rel` over to the KB (no row is copied) and marks it metadata.
+Status WriteMetadataRelation(KnowledgeBase* kb, Relation rel) {
+  const std::string name = rel.name();
+  VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(std::move(rel)));
+  kb->catalog().SetRole(name, RelationRole::kMetadata);
   return Status::OK();
 }
 
@@ -178,7 +180,8 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
                           &state->mapping_delta[m.id])
                     : executor.Execute(m, target.value(), *kb);
     if (!result.ok()) return result.status();
-    VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, result.value()));
+    VADA_RETURN_IF_ERROR(
+        WriteMetadataRelation(kb, std::move(result).value()));
   }
   if (incremental) {
     // Drop maintained state of mappings that no longer exist.
@@ -217,7 +220,7 @@ Status MappingRepairBody(WranglingState* state, KnowledgeBase* kb) {
     }
     Result<size_t> count = checker.Repair(&repaired);
     if (!count.ok()) return count.status();
-    VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, repaired));
+    VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, std::move(repaired)));
   }
   return Status::OK();
 }
@@ -322,8 +325,8 @@ Status SourceSelectionBody(WranglingState* state, KnowledgeBase* kb) {
           excluded.InsertUnchecked(Tuple({Value::String(source)})));
     }
   }
-  VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, trust));
-  return WriteMetadataRelation(kb, excluded);
+  VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, std::move(trust)));
+  return WriteMetadataRelation(kb, std::move(excluded));
 }
 
 Status MappingSelectionBody(WranglingState* state, KnowledgeBase* kb) {
@@ -377,7 +380,7 @@ Status MappingSelectionBody(WranglingState* state, KnowledgeBase* kb) {
         Tuple({Value::String(selected[rank]), Value::Double(score),
                Value::Int(static_cast<int64_t>(rank))})));
   }
-  return WriteMetadataRelation(kb, rel);
+  return WriteMetadataRelation(kb, std::move(rel));
 }
 
 Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
@@ -456,7 +459,7 @@ Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
       fuser.Fuse(unioned, clusters.value(), state->config.result_relation);
   if (!fused.ok()) return fused.status();
 
-  VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(fused.value()));
+  VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(std::move(fused).value()));
   kb->catalog().SetRole(state->config.result_relation, RelationRole::kResult);
   return Status::OK();
 }
@@ -515,7 +518,7 @@ Status FeedbackPropagationBody(WranglingState* state, KnowledgeBase* kb) {
         Tuple({Value::String(std::get<0>(key)), Value::String(std::get<1>(key)),
                Value::String(std::get<2>(key)), Value::Double(factor)}));
   }
-  return WriteMetadataRelation(kb, penalties);
+  return WriteMetadataRelation(kb, std::move(penalties));
 }
 
 std::unique_ptr<Transducer> Make(const char* name, const char* activity,

@@ -107,6 +107,70 @@ TEST(WriteGuardTest, CommitKeepsWrites) {
   EXPECT_GT(kb.global_version(), version_before);
 }
 
+Relation Rows(const std::string& name, const std::vector<int>& values) {
+  Relation rel(Schema::Untyped(name, {"x", "y"}));
+  for (int v : values) {
+    EXPECT_TRUE(
+        rel.Insert(Tuple({Value::Int(v), Value::String(std::to_string(v))}))
+            .ok());
+  }
+  return rel;
+}
+
+TEST(WriteGuardTest, RollbackAfterTwoReplacesRestoresThePreImage) {
+  KnowledgeBase kb = MakeKb();
+  const Relation* a = kb.FindRelation("a");
+  KbFingerprint before = Fingerprint(kb);
+  {
+    WriteGuard guard(&kb);
+    ASSERT_TRUE(kb.ReplaceRelation(Rows("a", {7, 5, 6})).ok());
+    EXPECT_EQ(guard.touched_relations(), 1u);
+    bool changed = false;
+    ASSERT_TRUE(kb.ReplaceRelationIfChanged(Rows("a", {9}), &changed).ok());
+    EXPECT_TRUE(changed);
+    // One pre-image, the relation as it was before the first replace.
+    EXPECT_EQ(guard.touched_relations(), 1u);
+    EXPECT_EQ(a->rows(), Rows("a", {9}).rows());
+    guard.Rollback();
+  }
+  ExpectIdentical(before, Fingerprint(kb));
+  EXPECT_EQ(kb.FindRelation("a"), a);
+}
+
+TEST(WriteGuardTest, RollbackOfAnInsertThenAReplaceRestoresThePreImage) {
+  KnowledgeBase kb = MakeKb();
+  KbFingerprint before = Fingerprint(kb);
+  {
+    WriteGuard guard(&kb);
+    // The insert copies the pre-image; the replace finds it saved.
+    ASSERT_TRUE(kb.Insert("a", {Value::Int(3), Value::String("3")}).ok());
+    ASSERT_TRUE(kb.ReplaceRelation(Rows("a", {4})).ok());
+    ASSERT_TRUE(kb.ReplaceRelation(Rows("fresh", {1})).ok());
+    EXPECT_EQ(guard.touched_relations(), 2u);
+    guard.Rollback();
+  }
+  ExpectIdentical(before, Fingerprint(kb));
+  EXPECT_FALSE(kb.HasRelation("fresh"));
+}
+
+TEST(WriteGuardTest, RollbackLeavesRelationsWhoseVersionDidNotMove) {
+  KnowledgeBase kb = MakeKb();
+  ASSERT_TRUE(kb.Insert("a", {Value::Int(3), Value::String("three")}).ok());
+  const size_t bytes = kb.FindRelation("a")->ApproxBytes();
+  KbFingerprint before = Fingerprint(kb);
+  {
+    WriteGuard guard(&kb);
+    // No-op mutations still save a pre-image (a copy, sized to fit).
+    ASSERT_TRUE(kb.Insert("a", {Value::Int(1), Value::String("one")}).ok());
+    ASSERT_TRUE(kb.Retract("a", {Value::Int(8), Value::String("x")}).ok());
+    EXPECT_EQ(guard.touched_relations(), 1u);
+    guard.Rollback();
+  }
+  ExpectIdentical(before, Fingerprint(kb));
+  // The KB kept its own relation, so its capacity did not change.
+  EXPECT_EQ(kb.FindRelation("a")->ApproxBytes(), bytes);
+}
+
 TEST(WriteGuardTest, RollbackRestoresRowOrder) {
   KnowledgeBase kb = MakeKb();
   std::vector<Tuple> order_before = kb.FindRelation("a")->rows();

@@ -1,10 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
+#include "kb/delta_log.h"
+#include "kb/durability.h"
+#include "kb/fs_util.h"
 #include "kb/knowledge_base.h"
+#include "kb/wal.h"
 #include "kb/write_guard.h"
+#include "kb_digest_test_util.h"
 
 namespace vada {
 namespace {
@@ -75,6 +82,157 @@ TEST(KnowledgeBaseTest, InsertAllCreatesAndFills) {
   ASSERT_TRUE(rel.Insert(Tuple({Value::Int(2)})).ok());
   ASSERT_TRUE(kb.InsertAll(rel).ok());
   EXPECT_EQ(kb.FindRelation("r")->size(), 2u);
+}
+
+DurabilityOptions DurableOptions(const std::string& name) {
+  DurabilityOptions options;
+  options.enabled = true;
+  options.directory = testing::TempDir() + "/vada_kb_" + name;
+  options.fsync = FsyncPolicy::kNone;
+  EXPECT_TRUE(RemoveRecursively(options.directory).ok());
+  return options;
+}
+
+Relation IntRows(const std::string& name, const std::vector<int>& values) {
+  Relation rel(Schema::Untyped(name, {"a"}));
+  for (int v : values) {
+    EXPECT_TRUE(rel.Insert(Tuple({Value::Int(v)})).ok());
+  }
+  return rel;
+}
+
+TEST(KnowledgeBaseTest, InsertAllWithAnIllTypedRowChangesNothing) {
+  const DurabilityOptions options = DurableOptions("insert_all");
+  const Schema schema("r", {{"a", AttributeType::kInt}});
+  {
+    DeltaLog delta_log;
+    KnowledgeBase kb;
+    Result<std::unique_ptr<DurabilityManager>> durability =
+        DurabilityManager::Open(options, &kb);
+    ASSERT_TRUE(durability.ok()) << durability.status().ToString();
+    kb.AttachDeltaLog(&delta_log);
+    ASSERT_TRUE(kb.CreateRelation(schema).ok());
+    ASSERT_TRUE(kb.Assert("r", {Value::Int(1)}).ok());
+    const uint64_t version = kb.relation_version("r");
+    const uint64_t global_version = kb.global_version();
+    const uint64_t facts_added = kb.facts_added();
+    const size_t delta_records = delta_log.size();
+    const uint64_t wal_records = durability.value()->wal()->appended_records();
+
+    // The first row is fine, the second is not: nothing may be applied.
+    Relation batch(schema);
+    ASSERT_TRUE(batch.InsertUnchecked(Tuple({Value::Int(2)})).ok());
+    ASSERT_TRUE(batch.InsertUnchecked(Tuple({Value::String("y")})).ok());
+    EXPECT_EQ(kb.InsertAll(batch).code(), StatusCode::kInvalidArgument);
+    // Nor is a relation created for a batch that fails.
+    Relation fresh(Schema("s", {{"a", AttributeType::kInt}}));
+    ASSERT_TRUE(fresh.InsertUnchecked(Tuple({Value::String("y")})).ok());
+    EXPECT_EQ(kb.InsertAll(fresh).code(), StatusCode::kInvalidArgument);
+
+    EXPECT_EQ(kb.FindRelation("r")->rows(),
+              (std::vector<Tuple>{Tuple({Value::Int(1)})}));
+    EXPECT_FALSE(kb.HasRelation("s"));
+    EXPECT_EQ(kb.relation_version("r"), version);
+    EXPECT_EQ(kb.global_version(), global_version);
+    EXPECT_EQ(kb.facts_added(), facts_added);
+    EXPECT_EQ(delta_log.size(), delta_records);
+    EXPECT_EQ(durability.value()->wal()->appended_records(), wal_records);
+  }
+  KnowledgeBase reopened;
+  Result<std::unique_ptr<DurabilityManager>> durability =
+      DurabilityManager::Open(options, &reopened);
+  ASSERT_TRUE(durability.ok()) << durability.status().ToString();
+  ASSERT_NE(reopened.FindRelation("r"), nullptr);
+  EXPECT_EQ(reopened.FindRelation("r")->size(), 1u);
+  EXPECT_FALSE(reopened.HasRelation("s"));
+}
+
+TEST(KnowledgeBaseTest, ReplaceKeepsTheRelationsAddress) {
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.ReplaceRelation(IntRows("r", {1, 2})).ok());
+  const Relation* before = kb.FindRelation("r");
+  ASSERT_NE(before, nullptr);
+  ASSERT_TRUE(kb.ReplaceRelation(IntRows("r", {7, 8, 9})).ok());
+  EXPECT_EQ(kb.FindRelation("r"), before);
+  EXPECT_EQ(before->rows(), IntRows("r", {7, 8, 9}).rows());
+  bool changed = false;
+  ASSERT_TRUE(kb.ReplaceRelationIfChanged(IntRows("r", {4}), &changed).ok());
+  EXPECT_TRUE(changed);
+  EXPECT_EQ(kb.FindRelation("r"), before);
+  EXPECT_EQ(before->rows(), IntRows("r", {4}).rows());
+}
+
+TEST(KnowledgeBaseTest, ReplaceIfChangedWithReorderedRowsIsANoOp) {
+  DeltaLog delta_log;
+  KnowledgeBase kb;
+  kb.AttachDeltaLog(&delta_log);
+  ASSERT_TRUE(kb.ReplaceRelation(IntRows("r", {1, 2, 3})).ok());
+  const uint64_t version = kb.relation_version("r");
+  const uint64_t global_version = kb.global_version();
+  const uint64_t facts_added = kb.facts_added();
+  const uint64_t facts_removed = kb.facts_removed();
+  const size_t delta_records = delta_log.size();
+  ReadSet reads;
+  kb.RecordAccesses(&reads);
+  bool changed = true;
+  ASSERT_TRUE(
+      kb.ReplaceRelationIfChanged(IntRows("r", {3, 1, 2}), &changed).ok());
+  kb.RecordAccesses(nullptr);
+  EXPECT_FALSE(changed);
+  EXPECT_EQ(reads.relations.count("r"), 1u);  // still the caller's output
+  // The KB keeps its own row order; nothing moved or was logged.
+  EXPECT_EQ(kb.FindRelation("r")->rows(), IntRows("r", {1, 2, 3}).rows());
+  EXPECT_EQ(kb.relation_version("r"), version);
+  EXPECT_EQ(kb.global_version(), global_version);
+  EXPECT_EQ(kb.facts_added(), facts_added);
+  EXPECT_EQ(kb.facts_removed(), facts_removed);
+  EXPECT_EQ(delta_log.size(), delta_records);
+  // A different row set of the same size is a change.
+  ASSERT_TRUE(
+      kb.ReplaceRelationIfChanged(IntRows("r", {3, 1, 4}), &changed).ok());
+  EXPECT_TRUE(changed);
+  EXPECT_EQ(kb.FindRelation("r")->rows(), IntRows("r", {3, 1, 4}).rows());
+}
+
+TEST(KnowledgeBaseTest, MovedReplacesReopenToTheSameDigest) {
+  const DurabilityOptions options = DurableOptions("moved_replaces");
+  std::string digest;
+  std::vector<Tuple> order;
+  {
+    KnowledgeBase kb;
+    Result<std::unique_ptr<DurabilityManager>> durability =
+        DurabilityManager::Open(options, &kb);
+    ASSERT_TRUE(durability.ok()) << durability.status().ToString();
+    {
+      WriteGuard guard(&kb);
+      ASSERT_TRUE(kb.ReplaceRelation(IntRows("r", {5, 3, 9})).ok());
+      ASSERT_TRUE(kb.ReplaceRelationIfChanged(IntRows("s", {1})).ok());
+      kb.catalog().SetRole("s", RelationRole::kMetadata);
+      guard.Commit();
+    }
+    {
+      WriteGuard guard(&kb);
+      ASSERT_TRUE(kb.ReplaceRelation(IntRows("r", {8, 6})).ok());
+      ASSERT_TRUE(kb.ReplaceRelationIfChanged(IntRows("r", {6, 8})).ok());
+      ASSERT_TRUE(kb.ReplaceRelationIfChanged(IntRows("s", {2, 1})).ok());
+      guard.Commit();
+    }
+    {
+      WriteGuard guard(&kb);  // rolled back: leaves no WAL trace
+      ASSERT_TRUE(kb.ReplaceRelation(IntRows("r", {0})).ok());
+    }
+    ASSERT_TRUE(durability.value()->status().ok());
+    digest = KbDigest(kb);
+    order = kb.FindRelation("r")->rows();
+  }
+  KnowledgeBase reopened;
+  Result<std::unique_ptr<DurabilityManager>> durability =
+      DurabilityManager::Open(options, &reopened);
+  ASSERT_TRUE(durability.ok()) << durability.status().ToString();
+  EXPECT_TRUE(durability.value()->recovery().recovered);
+  EXPECT_EQ(KbDigest(reopened), digest);
+  EXPECT_EQ(reopened.FindRelation("r")->rows(), order);
+  EXPECT_EQ(order, IntRows("r", {8, 6}).rows());
 }
 
 TEST(KnowledgeBaseTest, ReplaceRelationSwapsContents) {

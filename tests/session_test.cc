@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -368,6 +370,97 @@ TEST_F(SessionTest, MetricsReportExposesOrchestrationMetrics) {
     EXPECT_EQ(h->count, counts[transducer]) << transducer;
     EXPECT_GT(h->sum, 0.0) << transducer;
   }
+}
+
+// PublishKbGauges re-measures only relations whose version moved. After
+// a seeded stream of writes, rolled-back steps, a drop and Runs, every
+// per-relation gauge still equals a fresh computation, and a relation
+// that left the KB reads 0.
+TEST_F(SessionTest, KbRelationGaugesMatchAFreshComputation) {
+  WranglerConfig config;
+  config.fault_tolerance.sleep_ms = [](double) {};
+  WranglingSession session(config);
+  ASSERT_TRUE(Bootstrap(&session).ok());
+  KnowledgeBase& kb = session.kb();
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("stream", {"k"})).ok());
+  ASSERT_TRUE(kb.Assert("stream", {Value::Int(0)}).ok());
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("doomed", {"k"})).ok());
+  ASSERT_TRUE(kb.Assert("doomed", {Value::Int(1)}).ok());
+  // Fails its first attempt after each stream write, having made only a
+  // no-op write: the step is rolled back, with no version moved.
+  bool fail_next = false;
+  ASSERT_TRUE(session
+                  .AddTransducer(std::make_unique<FunctionTransducer>(
+                      "flaky", "quality",
+                      "ready() :- sys_relation_nonempty(\"stream\").",
+                      [&fail_next](KnowledgeBase* kb) {
+                        // Read, so that every stream write re-enables it.
+                        (void)kb->FindRelation("stream");
+                        if (!fail_next) return Status::OK();
+                        fail_next = false;
+                        VADA_RETURN_IF_ERROR(
+                            kb->Assert("stream", {Value::Int(0)}));
+                        return Status::Internal("flaky");
+                      }))
+                  .ok());
+
+  auto expect_fresh = [&](const SessionMetricsReport& report) {
+    std::set<std::string> published;
+    for (const obs::MetricSample& sample : report.snapshot.samples) {
+      if (sample.name != "vada_kb_relation_rows" &&
+          sample.name != "vada_kb_relation_bytes") {
+        continue;
+      }
+      const std::string& name = sample.labels.at("relation");
+      published.insert(name);
+      const Relation* rel = kb.FindRelation(name);
+      const double fresh =
+          rel == nullptr ? 0.0
+          : sample.name == "vada_kb_relation_rows"
+              ? static_cast<double>(rel->size())
+              : static_cast<double>(rel->ApproxBytes());
+      EXPECT_DOUBLE_EQ(sample.value, fresh) << sample.name << " " << name;
+    }
+    for (const std::string& name : kb.RelationNames()) {
+      EXPECT_EQ(published.count(name), 1u) << name;
+    }
+  };
+
+  std::mt19937 rng(42);
+  size_t rollbacks = 0;
+  for (int round = 0; round < 12; ++round) {
+    ASSERT_TRUE(kb.Assert("stream", {Value::Int(100 + round)}).ok());
+    for (int i = 0; i < 5; ++i) {
+      const Value k = Value::Int(1 + static_cast<int64_t>(rng() % 40));
+      if (rng() % 4 == 0) {
+        ASSERT_TRUE(kb.Retract("stream", Tuple({k})).ok());
+      } else {
+        ASSERT_TRUE(kb.Assert("stream", {k}).ok());
+      }
+    }
+    if (round == 6) {
+      ASSERT_TRUE(kb.DropRelation("doomed").ok());
+    }
+    // Publish what the writes did, then let the rolled-back step run.
+    expect_fresh(session.MetricsReport());
+    fail_next = true;
+    OrchestrationStats stats;
+    ASSERT_TRUE(session.Run(&stats).ok());
+    EXPECT_FALSE(fail_next);
+    rollbacks += stats.rollbacks;
+    expect_fresh(session.MetricsReport());
+  }
+  EXPECT_GE(rollbacks, 12u);
+  const SessionMetricsReport report = session.MetricsReport();
+  EXPECT_DOUBLE_EQ(report.snapshot.Value("vada_kb_relation_rows",
+                                         {{"relation", "doomed"}}),
+                   0.0);
+  EXPECT_DOUBLE_EQ(report.snapshot.Value("vada_kb_relation_bytes",
+                                         {{"relation", "doomed"}}),
+                   0.0);
+  ASSERT_NE(report.snapshot.Find("vada_kb_relation_rows",
+                                 {{"relation", "doomed"}}),
+            nullptr);
 }
 
 // Duplicate detection accounts for every candidate pair it examined
