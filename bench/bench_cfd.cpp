@@ -6,6 +6,8 @@
 // reference data pins street -> postcode; repair precision stays high
 // because repairs copy evidence values, and effectiveness degrades only
 // when corruption also breaks the lhs (street) values.
+// Exits non-zero when a repair fails or a shape check misses: precision
+// 1.0 and at least 0.99 of the rows correct after repair, at every rate.
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "quality/cfd.h"
@@ -68,18 +70,22 @@ int main() {
                        .value();
   CfdLearnerOptions lopts;
   lopts.min_support_count = 3;
-  std::vector<Cfd> cfds = CfdLearner(lopts).Learn(sc.address);
+  // One checker, compiled once from the reference, repairs every rate.
+  CfdChecker checker(CfdLearner(lopts).Learn(sc.address), &sc.address);
+  size_t failures = 0;
+  bool precise = true;
+  bool correct_after = true;
   for (double rate : {0.05, 0.1, 0.2, 0.4}) {
     size_t corrupted = 0;
     Relation dirty = Corrupt(clean, rate, 5000 + static_cast<uint64_t>(
                                                     rate * 100),
                              &corrupted);
-    CfdChecker checker(cfds, &sc.address);
     Relation repaired = dirty;
     Result<size_t> repairs = checker.Repair(&repaired);
     if (!repairs.ok()) {
-      std::fprintf(stderr, "repair failed: %s\n",
+      std::fprintf(stderr, "rate %.2f: repair failed: %s\n", rate,
                    repairs.status().ToString().c_str());
+      ++failures;
       continue;
     }
     // Count rows whose postcode matches the clean original again. Rows
@@ -97,9 +103,15 @@ int main() {
         if (now_right) ++repaired_right;
       }
     }
+    const double correct_rate = static_cast<double>(correct) / clean.size();
+    // A rate with no repair at all misses the precision check too.
+    if (repaired_cells == 0 || repaired_right != repaired_cells) {
+      precise = false;
+    }
+    if (correct_rate < 0.99) correct_after = false;
     repair_table.AddRow(
         {Fmt(rate, 2), std::to_string(corrupted), std::to_string(*&repairs.value()),
-         Fmt(static_cast<double>(correct) / clean.size()),
+         Fmt(correct_rate),
          repaired_cells == 0
              ? "n/a"
              : Fmt(static_cast<double>(repaired_right) / repaired_cells)});
@@ -109,5 +121,11 @@ int main() {
       "\nexpected shape: repair precision ~1.0 at every error rate (the\n"
       "reference pins the expected value); post-repair correctness stays\n"
       "near 1.0 and degrades gently as corruption grows.\n");
-  return 0;
+  std::printf(
+      "\nshape checks:\n"
+      "  repair precision 1.0 at every error rate: %s\n"
+      "  correct after >= 0.99 at every error rate: %s\n"
+      "  failed repairs:                            %zu\n",
+      precise ? "OK" : "MISS", correct_after ? "OK" : "MISS", failures);
+  return precise && correct_after && failures == 0 ? 0 : 1;
 }

@@ -7,6 +7,11 @@
 // the mapping results. The result data should now be of better quality."
 // More reference coverage => more learned dependencies bite => more
 // repairs => higher validity, saturating near full coverage.
+// Exits non-zero when a session call fails or a shape check misses: at
+// every positive coverage at least one CFD and more rows than at coverage
+// 0, and postcode_valid non-decreasing over the positive coverages.
+#include <vector>
+
 #include "bench/bench_util.h"
 #include "wrangler/evaluation.h"
 #include "wrangler/session.h"
@@ -19,13 +24,20 @@ int main() {
 
   Table table({"reference coverage", "cfds", "postcode_valid", "overall",
                "rows"});
+  size_t failures = 0;
+  struct Point {
+    double cfds, pc_valid, rows;
+  };
+  std::vector<Point> sweep;
   for (double coverage : {0.0, 0.25, 0.5, 0.75, 1.0}) {
-    // Aggregate over seeds for stability.
+    // Aggregate over seeds for stability; a failed seed is counted, not
+    // averaged in.
     double cfds = 0.0;
     double pc_valid = 0.0;
     double overall = 0.0;
     double rows = 0.0;
     const int kSeeds = 3;
+    int completed = 0;
     for (int seed = 0; seed < kSeeds; ++seed) {
       Scenario sc = MakeScenario(300 + seed, 200, 30);
       WranglingSession session;
@@ -48,19 +60,25 @@ int main() {
       if (!s.ok()) {
         std::fprintf(stderr, "coverage %.2f seed %d: %s\n", coverage, seed,
                      s.ToString().c_str());
+        ++failures;
         continue;
       }
+      ++completed;
       const Relation* cfd_rel = session.kb().FindRelation("cfd");
-      cfds += (cfd_rel == nullptr ? 0.0
-                                  : static_cast<double>(cfd_rel->size())) /
-              kSeeds;
+      cfds += cfd_rel == nullptr ? 0.0 : static_cast<double>(cfd_rel->size());
       ScenarioEvaluation eval = EvaluateScenario(*session.result(), sc.truth);
-      pc_valid += eval.postcode_valid_rate / kSeeds;
-      overall += eval.overall / kSeeds;
-      rows += static_cast<double>(eval.rows) / kSeeds;
+      pc_valid += eval.postcode_valid_rate;
+      overall += eval.overall;
+      rows += static_cast<double>(eval.rows);
     }
+    const double n = completed == 0 ? 1.0 : static_cast<double>(completed);
+    cfds /= n;
+    pc_valid /= n;
+    overall /= n;
+    rows /= n;
     table.AddRow({Fmt(coverage, 2), Fmt(cfds, 1), Fmt(pc_valid), Fmt(overall),
                   Fmt(rows, 1)});
+    sweep.push_back(Point{cfds, pc_valid, rows});
   }
   table.Print();
   std::printf(
@@ -71,5 +89,25 @@ int main() {
       "selection exposes raw extraction typos and repair progressively\n"
       "removes them: postcode_valid rises monotonically with coverage\n"
       "while the result stays larger than the no-context baseline.\n");
-  return 0;
+
+  bool learned = true;
+  bool larger = true;
+  bool monotone = true;
+  const Point& baseline = sweep.front();  // coverage 0
+  for (size_t i = 1; i < sweep.size(); ++i) {
+    if (!(sweep[i].cfds >= 1.0)) learned = false;
+    if (!(sweep[i].rows > baseline.rows)) larger = false;
+    if (i > 1 && sweep[i].pc_valid < sweep[i - 1].pc_valid - 1e-9) {
+      monotone = false;
+    }
+  }
+  std::printf(
+      "\nshape checks vs paper narrative:\n"
+      "  at least one CFD at every positive coverage:           %s\n"
+      "  more rows than coverage 0 at every positive coverage:  %s\n"
+      "  postcode_valid non-decreasing over positive coverages: %s\n"
+      "  failed sessions:                                       %zu\n",
+      learned ? "OK" : "MISS", larger ? "OK" : "MISS",
+      monotone ? "OK" : "MISS", failures);
+  return learned && larger && monotone && failures == 0 ? 0 : 1;
 }

@@ -240,15 +240,13 @@ std::string CfdViolation::ToString() const {
   return out;
 }
 
-CfdChecker::CfdChecker(std::vector<Cfd> cfds, const Relation* evidence)
-    : cfds_(std::move(cfds)), evidence_(evidence) {}
-
 namespace {
 
 /// Builds lhs-value -> expected-rhs map for a variable CFD from a
 /// relation (skips groups with conflicting rhs — no expectation there).
-std::map<Tuple, Value> BuildExpectation(const Cfd& cfd, const Relation& rel) {
-  std::map<Tuple, Value> expected;
+std::unordered_map<Tuple, Value, TupleHash> BuildExpectation(
+    const Cfd& cfd, const Relation& rel) {
+  std::unordered_map<Tuple, Value, TupleHash> expected;
   std::vector<size_t> lhs_idx;
   for (const std::string& a : cfd.lhs_attributes) {
     std::optional<size_t> i = rel.schema().AttributeIndex(a);
@@ -293,12 +291,33 @@ std::map<Tuple, Value> BuildExpectation(const Cfd& cfd, const Relation& rel) {
   return expected;
 }
 
+/// Whether `row` matches every lhs pattern of `cfd` at `lhs_idx`.
+bool MatchesLhs(const Cfd& cfd, const std::vector<size_t>& lhs_idx,
+                const Tuple& row) {
+  for (size_t k = 0; k < lhs_idx.size(); ++k) {
+    if (!cfd.lhs_pattern[k].Matches(row.at(lhs_idx[k]))) return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+CfdChecker::CfdChecker(std::vector<Cfd> cfds, const Relation* evidence)
+    : cfds_(std::move(cfds)), compiled_(evidence != nullptr) {
+  expectations_.resize(cfds_.size());
+  if (!compiled_) return;
+  for (size_t c = 0; c < cfds_.size(); ++c) {
+    if (cfds_[c].is_variable()) {
+      expectations_[c] = BuildExpectation(cfds_[c], *evidence);
+    }
+  }
+}
 
 std::vector<CfdViolation> CfdChecker::FindViolations(
     const Relation& data) const {
   std::vector<CfdViolation> out;
-  for (const Cfd& cfd : cfds_) {
+  for (size_t c = 0; c < cfds_.size(); ++c) {
+    const Cfd& cfd = cfds_[c];
     std::vector<size_t> lhs_idx;
     bool attrs_ok = true;
     for (const std::string& a : cfd.lhs_attributes) {
@@ -312,35 +331,34 @@ std::vector<CfdViolation> CfdChecker::FindViolations(
     std::optional<size_t> rhs_idx =
         data.schema().AttributeIndex(cfd.rhs_attribute);
     if (!attrs_ok || !rhs_idx.has_value()) continue;
+    const std::vector<Tuple>& rows = data.rows();
 
-    std::map<Tuple, Value> expected;
-    if (cfd.is_variable()) {
-      expected = BuildExpectation(cfd, evidence_ != nullptr ? *evidence_ : data);
-    }
-
-    for (size_t r = 0; r < data.rows().size(); ++r) {
-      const Tuple& row = data.rows()[r];
-      const Value& rhs_value = row.at(*rhs_idx);
-      if (rhs_value.is_null()) continue;  // incompleteness, not violation
-      std::vector<Value> key;
-      bool matches_lhs = true;
-      for (size_t k = 0; k < lhs_idx.size(); ++k) {
-        const Value& v = row.at(lhs_idx[k]);
-        if (!cfd.lhs_pattern[k].Matches(v)) {
-          matches_lhs = false;
-          break;
-        }
-        key.push_back(v);
-      }
-      if (!matches_lhs) continue;
-
-      if (!cfd.is_variable()) {
-        if (!cfd.rhs_pattern.Matches(rhs_value)) {
+    if (!cfd.is_variable()) {
+      for (size_t r = 0; r < rows.size(); ++r) {
+        const Value& rhs_value = rows[r].at(*rhs_idx);
+        if (rhs_value.is_null()) continue;  // incompleteness, not violation
+        if (MatchesLhs(cfd, lhs_idx, rows[r]) &&
+            !cfd.rhs_pattern.Matches(rhs_value)) {
           out.push_back(CfdViolation{r, &cfd, cfd.rhs_pattern.value()});
         }
-        continue;
       }
-      auto it = expected.find(Tuple(key));
+      continue;
+    }
+
+    Expectation derived;
+    if (!compiled_) derived = BuildExpectation(cfd, data);
+    const Expectation& expected = compiled_ ? expectations_[c] : derived;
+    if (expected.empty()) continue;
+    // One key reused for every row: assigning a value into it copies no
+    // more than the value itself.
+    Tuple key(std::vector<Value>(lhs_idx.size()));
+    for (size_t r = 0; r < rows.size(); ++r) {
+      const Tuple& row = rows[r];
+      const Value& rhs_value = row.at(*rhs_idx);
+      if (rhs_value.is_null()) continue;  // incompleteness, not violation
+      if (!MatchesLhs(cfd, lhs_idx, row)) continue;
+      for (size_t k = 0; k < lhs_idx.size(); ++k) key[k] = row.at(lhs_idx[k]);
+      auto it = expected.find(key);
       if (it != expected.end() && !(it->second == rhs_value)) {
         out.push_back(CfdViolation{r, &cfd, it->second});
       }
@@ -358,30 +376,51 @@ double CfdChecker::ConsistencyScore(const Relation& data) const {
                    static_cast<double>(data.size());
 }
 
-Result<size_t> CfdChecker::Repair(Relation* data) const {
-  std::vector<CfdViolation> violations = FindViolations(*data);
-  if (violations.empty()) return size_t{0};
-
-  // Apply expected values; rebuild the relation (rows are keyed by value,
-  // so in-place mutation would corrupt the dedup index).
-  std::vector<Tuple> rows = data->rows();
-  size_t repaired = 0;
+Result<Relation> CfdChecker::Repaired(const Relation& data,
+                                      const std::string& name,
+                                      size_t* repaired) const {
+  // The cells to set, in violation order; a stable sort by row keeps each
+  // row's patches in CFD order.
+  struct Patch {
+    size_t row;
+    size_t column;
+    const Value* value;
+  };
+  std::vector<CfdViolation> violations = FindViolations(data);
+  std::vector<Patch> patches;
   for (const CfdViolation& v : violations) {
     if (v.expected.is_null() || v.cfd == nullptr) continue;
     std::optional<size_t> rhs_idx =
-        data->schema().AttributeIndex(v.cfd->rhs_attribute);
+        data.schema().AttributeIndex(v.cfd->rhs_attribute);
     if (!rhs_idx.has_value()) continue;
-    if (!(rows[v.row_index].at(*rhs_idx) == v.expected)) {
-      rows[v.row_index][*rhs_idx] = v.expected;
-      ++repaired;
+    patches.push_back(Patch{v.row_index, *rhs_idx, &v.expected});
+  }
+  std::stable_sort(patches.begin(), patches.end(),
+                   [](const Patch& a, const Patch& b) { return a.row < b.row; });
+
+  Relation out(Schema(name, data.schema().attributes()));
+  size_t changed = 0;
+  auto patch = patches.begin();
+  for (size_t r = 0; r < data.size(); ++r) {
+    Tuple row = data.rows()[r];
+    for (; patch != patches.end() && patch->row == r; ++patch) {
+      if (!(row.at(patch->column) == *patch->value)) {
+        row[patch->column] = *patch->value;
+        ++changed;
+      }
     }
+    VADA_RETURN_IF_ERROR(out.InsertUnchecked(std::move(row)));
   }
-  Relation rebuilt(data->schema());
-  for (Tuple& row : rows) {
-    VADA_RETURN_IF_ERROR(rebuilt.InsertUnchecked(std::move(row)));
-  }
-  *data = std::move(rebuilt);
-  return repaired;
+  if (repaired != nullptr) *repaired = changed;
+  return out;
+}
+
+Result<size_t> CfdChecker::Repair(Relation* data) const {
+  size_t changed = 0;
+  Result<Relation> repaired = Repaired(*data, data->name(), &changed);
+  if (!repaired.ok()) return repaired.status();
+  *data = std::move(repaired).value();
+  return changed;
 }
 
 }  // namespace vada

@@ -1,8 +1,8 @@
 #ifndef VADA_QUALITY_CFD_H_
 #define VADA_QUALITY_CFD_H_
 
-#include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/status.h"
@@ -109,10 +109,19 @@ struct CfdViolation {
   std::string ToString() const;
 };
 
-/// Checks relations against CFDs. For variable CFDs the expected rhs per
-/// lhs value is taken from `evidence` (typically the reference data the
-/// CFD was learned from); when absent, the majority within the checked
-/// relation itself is used.
+/// Checks relations against CFDs.
+///
+/// Construction compiles the checker. For each variable CFD it builds the
+/// expectation once from `evidence` (typically the reference data the CFDs
+/// were learned from): the map from lhs values to the rhs value a clear
+/// majority of the matching evidence rows agree on. Groups without a clear
+/// majority, and CFDs whose attributes the evidence lacks, expect nothing.
+/// The checker keeps no pointer to `evidence`, so the relation may go away
+/// (or the checker move) afterwards. With no evidence (nullptr), the
+/// expectation is the majority within the checked relation itself, derived
+/// on each call.
+///
+/// Violations come out in CFD order, then row order.
 class CfdChecker {
  public:
   CfdChecker(std::vector<Cfd> cfds, const Relation* evidence);
@@ -124,15 +133,31 @@ class CfdChecker {
   /// 1 - (violating tuples / tuples); 1.0 for empty relations.
   double ConsistencyScore(const Relation& data) const;
 
-  /// Repairs `data` in place: violating rhs cells are set to the expected
-  /// value when known. Returns the number of changed cells.
+  /// `data` repaired, under the name `name`: each row is copied once, in
+  /// order, with every violating rhs cell set to the expected value when
+  /// one is known (violations of several CFDs on one cell apply in CFD
+  /// order, so the last wins). Set semantics hold: a row that a repair
+  /// makes equal to an earlier row is dropped. Sets `*repaired`
+  /// (optional) to the number of changed cells.
+  Result<Relation> Repaired(const Relation& data, const std::string& name,
+                            size_t* repaired = nullptr) const;
+
+  /// Repairs `data` in place (Repaired under its own name). Returns the
+  /// number of changed cells.
   Result<size_t> Repair(Relation* data) const;
 
   const std::vector<Cfd>& cfds() const { return cfds_; }
 
  private:
+  /// lhs values -> expected rhs value, probed by Value equality.
+  using Expectation = std::unordered_map<Tuple, Value, TupleHash>;
+
   std::vector<Cfd> cfds_;
-  const Relation* evidence_;  // not owned; may be nullptr
+  /// Whether expectations_ was compiled from evidence at construction.
+  bool compiled_ = false;
+  /// Parallel to cfds_: each variable CFD's expectation from the
+  /// evidence (empty for constant CFDs, and without evidence).
+  std::vector<Expectation> expectations_;
 };
 
 }  // namespace vada

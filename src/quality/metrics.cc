@@ -1,7 +1,5 @@
 #include "quality/metrics.h"
 
-#include <set>
-
 namespace vada {
 
 std::string RelationQuality::ToString() const {
@@ -60,23 +58,67 @@ Result<std::vector<QualityMetricFact>> QualityMetricsFromRelation(
   return out;
 }
 
+namespace {
+
+/// Whether `v`'s display form is in `values`; a string is probed as it
+/// is, without a copy.
+bool Confirmed(const std::unordered_set<std::string>& values, const Value& v) {
+  if (v.type() == ValueType::kString) return values.count(v.string_value()) > 0;
+  return values.count(v.ToString()) > 0;
+}
+
+}  // namespace
+
 void QualityEstimator::SetReference(
     const Relation* reference_data,
     std::vector<ContextCorrespondence> correspondences) {
-  reference_data_ = reference_data;
-  reference_correspondences_ = std::move(correspondences);
+  reference_columns_.clear();
+  if (reference_data == nullptr) return;
+  for (const ContextCorrespondence& c : correspondences) {
+    std::optional<size_t> ref_idx =
+        reference_data->schema().AttributeIndex(c.context_attribute);
+    if (!ref_idx.has_value()) continue;
+    ReferenceColumn column{c.target_attribute, {}};
+    for (const Tuple& row : reference_data->rows()) {
+      const Value& v = row.at(*ref_idx);
+      if (!v.is_null()) column.values.insert(v.ToString());
+    }
+    reference_columns_.push_back(std::move(column));
+  }
+}
+
+void QualityEstimator::SetChecker(const CfdChecker* checker) {
+  owned_checker_.reset();
+  checker_ = checker;
 }
 
 void QualityEstimator::SetCfds(std::vector<Cfd> cfds,
                                const Relation* evidence) {
-  checker_.emplace(std::move(cfds), evidence);
+  owned_checker_ = std::make_unique<CfdChecker>(std::move(cfds), evidence);
+  checker_ = owned_checker_.get();
 }
 
 void QualityEstimator::SetMaster(
     const Relation* master_data,
     std::vector<ContextCorrespondence> correspondences) {
-  master_data_ = master_data;
-  master_correspondences_ = std::move(correspondences);
+  master_targets_.clear();
+  master_keys_.reset();
+  if (master_data == nullptr || correspondences.empty()) return;
+  std::vector<size_t> master_idx;
+  for (const ContextCorrespondence& c : correspondences) {
+    std::optional<size_t> i =
+        master_data->schema().AttributeIndex(c.context_attribute);
+    if (!i.has_value()) {
+      master_targets_.clear();
+      return;
+    }
+    master_idx.push_back(*i);
+    master_targets_.push_back(c.target_attribute);
+  }
+  std::unordered_set<Tuple, TupleHash>& keys = master_keys_.emplace();
+  for (const Tuple& row : master_data->rows()) {
+    keys.insert(row.Project(master_idx));
+  }
 }
 
 RelationQuality QualityEstimator::Estimate(const Relation& data) const {
@@ -90,81 +132,53 @@ RelationQuality QualityEstimator::Estimate(const Relation& data) const {
 
     // Accuracy: fraction of non-null values present in the reference
     // column, when a correspondence covers this attribute.
-    if (reference_data_ != nullptr) {
-      for (const ContextCorrespondence& c : reference_correspondences_) {
-        if (c.target_attribute != attr.name) continue;
-        std::optional<size_t> ref_idx =
-            reference_data_->schema().AttributeIndex(c.context_attribute);
-        std::optional<size_t> data_idx =
-            data.schema().AttributeIndex(attr.name);
-        if (!ref_idx.has_value() || !data_idx.has_value()) continue;
-        std::set<std::string> reference_values;
-        for (const Tuple& row : reference_data_->rows()) {
-          const Value& v = row.at(*ref_idx);
-          if (!v.is_null()) reference_values.insert(v.ToString());
-        }
-        size_t non_null = 0;
-        size_t confirmed = 0;
-        for (const Tuple& row : data.rows()) {
-          const Value& v = row.at(*data_idx);
-          if (v.is_null()) continue;
-          ++non_null;
-          if (reference_values.count(v.ToString()) > 0) ++confirmed;
-        }
-        q.accuracy = (non_null == 0)
-                         ? 1.0
-                         : static_cast<double>(confirmed) /
-                               static_cast<double>(non_null);
-        break;
+    for (const ReferenceColumn& column : reference_columns_) {
+      if (column.target_attribute != attr.name) continue;
+      const size_t data_idx = *data.schema().AttributeIndex(attr.name);
+      size_t non_null = 0;
+      size_t confirmed = 0;
+      for (const Tuple& row : data.rows()) {
+        const Value& v = row.at(data_idx);
+        if (v.is_null()) continue;
+        ++non_null;
+        if (Confirmed(column.values, v)) ++confirmed;
       }
+      q.accuracy = (non_null == 0) ? 1.0
+                                   : static_cast<double>(confirmed) /
+                                         static_cast<double>(non_null);
+      break;
     }
     out.attribute[attr.name] = q;
   }
 
-  if (checker_.has_value()) {
+  if (checker_ != nullptr) {
     out.consistency = checker_->ConsistencyScore(data);
   }
 
   // Relevance against master data: joint match on all corresponded
   // attributes present in both schemas.
-  if (master_data_ != nullptr && !master_correspondences_.empty() &&
-      !data.empty()) {
+  if (master_keys_.has_value() && !data.empty()) {
     std::vector<size_t> data_idx;
-    std::vector<size_t> master_idx;
-    bool usable = true;
-    for (const ContextCorrespondence& c : master_correspondences_) {
-      std::optional<size_t> di = data.schema().AttributeIndex(
-          c.target_attribute);
-      std::optional<size_t> mi =
-          master_data_->schema().AttributeIndex(c.context_attribute);
-      if (!di.has_value() || !mi.has_value()) {
-        usable = false;
-        break;
-      }
-      data_idx.push_back(*di);
-      master_idx.push_back(*mi);
+    for (const std::string& a : master_targets_) {
+      std::optional<size_t> i = data.schema().AttributeIndex(a);
+      if (!i.has_value()) break;
+      data_idx.push_back(*i);
     }
-    if (usable) {
-      std::set<Tuple> master_keys;
-      for (const Tuple& row : master_data_->rows()) {
-        std::vector<Value> key;
-        for (size_t i : master_idx) key.push_back(row.at(i));
-        master_keys.insert(Tuple(std::move(key)));
-      }
+    if (data_idx.size() == master_targets_.size()) {
+      // One key reused for every row (see CfdChecker::FindViolations).
+      Tuple key(std::vector<Value>(data_idx.size()));
       size_t relevant = 0;
       for (const Tuple& row : data.rows()) {
-        std::vector<Value> key;
         bool has_null = false;
-        for (size_t i : data_idx) {
-          if (row.at(i).is_null()) {
+        for (size_t k = 0; k < data_idx.size(); ++k) {
+          const Value& v = row.at(data_idx[k]);
+          if (v.is_null()) {
             has_null = true;
             break;
           }
-          key.push_back(row.at(i));
+          key[k] = v;
         }
-        if (!has_null && master_keys.count(Tuple(std::move(key))) > 0) {
-          ++relevant;
-        }
+        if (!has_null && master_keys_->count(key) > 0) ++relevant;
       }
       out.relevance =
           static_cast<double>(relevant) / static_cast<double>(data.size());

@@ -2,8 +2,10 @@
 #define VADA_QUALITY_METRICS_H_
 
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "common/status.h"
@@ -58,28 +60,46 @@ Relation QualityMetricsToRelation(
 Result<std::vector<QualityMetricFact>> QualityMetricsFromRelation(
     const Relation& rel);
 
-/// Estimates completeness, accuracy and consistency of relations.
+/// Estimates completeness, accuracy, consistency and relevance of
+/// relations.
 ///
-/// Accuracy needs reference data: a value is accurate when it appears in
-/// the corresponding reference column. Consistency needs learned CFDs.
-/// Both inputs are optional — metrics degrade gracefully to completeness
-/// only, matching the paper's pay-as-you-go narrative.
+/// Accuracy needs reference data: a value is accurate when its display
+/// form (Value::ToString) appears in the corresponding reference column,
+/// so Int(3) confirms a reference "3". Consistency needs CFDs, relevance
+/// master data. All three inputs are optional — metrics degrade
+/// gracefully to completeness only, matching the paper's pay-as-you-go
+/// narrative.
+///
+/// The Set* calls compile their input: SetReference builds one probe set
+/// per corresponded reference column and SetMaster the set of master keys,
+/// after which the estimator keeps no pointer to either relation. Estimate
+/// only probes them, so one estimator serves any number of relations.
+/// Move-only.
 class QualityEstimator {
  public:
   QualityEstimator() = default;
 
-  /// Provides reference data for accuracy: `reference` maps target
-  /// attribute -> (reference relation, reference attribute).
+  /// Provides reference data for accuracy: each correspondence maps a
+  /// target attribute to an attribute of `reference_data`; one naming an
+  /// attribute `reference_data` lacks is skipped. nullptr measures no
+  /// accuracy.
   void SetReference(const Relation* reference_data,
                     std::vector<ContextCorrespondence> correspondences);
 
-  /// Provides CFDs (plus evidence relation) for consistency.
+  /// Borrows a compiled checker for consistency; nullptr measures none.
+  /// `checker` must outlive the estimator.
+  void SetChecker(const CfdChecker* checker);
+
+  /// Compiles an owned checker from `cfds` and `evidence` (see CfdChecker)
+  /// for consistency.
   void SetCfds(std::vector<Cfd> cfds, const Relation* evidence);
 
   /// Provides master data for relevance: a row is relevant when the
   /// joint value of all corresponded attributes appears in the master
   /// data (rows with a null in any corresponded attribute are not
-  /// counted relevant — the entity cannot be identified).
+  /// counted relevant — the entity cannot be identified). Relevance is
+  /// absent when `master_data` is nullptr, there are no correspondences,
+  /// or either side lacks a corresponded attribute.
   void SetMaster(const Relation* master_data,
                  std::vector<ContextCorrespondence> correspondences);
 
@@ -91,11 +111,21 @@ class QualityEstimator {
       const Relation& data, const std::string& entity_name) const;
 
  private:
-  const Relation* reference_data_ = nullptr;
-  std::vector<ContextCorrespondence> reference_correspondences_;
-  const Relation* master_data_ = nullptr;
-  std::vector<ContextCorrespondence> master_correspondences_;
-  std::optional<CfdChecker> checker_;
+  /// The display forms of one reference column's non-null values.
+  struct ReferenceColumn {
+    std::string target_attribute;
+    std::unordered_set<std::string> values;
+  };
+
+  /// In correspondence order; the first one naming an attribute scores it.
+  std::vector<ReferenceColumn> reference_columns_;
+  /// Target attributes of the master correspondences, in order, and the
+  /// master rows projected onto them; master_keys_ is disengaged when
+  /// relevance cannot be measured.
+  std::vector<std::string> master_targets_;
+  std::optional<std::unordered_set<Tuple, TupleHash>> master_keys_;
+  std::unique_ptr<const CfdChecker> owned_checker_;  // from SetCfds
+  const CfdChecker* checker_ = nullptr;
 };
 
 }  // namespace vada

@@ -156,14 +156,21 @@ struct WranglerConfig {
   std::string session_name = "wrangling-session";
 };
 
-/// CFDs learned from the data context's reference and master bindings,
-/// with the evidence relation the checker needs (the first learnable
-/// binding's instances in target vocabulary), cached under the versions
-/// of the relations the learner read (see LearnedCfdsOf).
+/// The quality context compiled from the data context (DESIGN.md §5o):
+/// the CFDs learned from its reference and master bindings, compiled into
+/// one checker against the evidence (the first learnable binding's
+/// instances in target vocabulary), cached under the versions of the
+/// relations the learner read (see LearnedCfdsOf). The checker read the
+/// evidence when it was built and keeps no pointer to it.
 struct LearnedCfds {
   ReadSetKey key;
-  std::vector<Cfd> cfds;
-  std::optional<Relation> evidence;
+  CfdChecker checker{{}, nullptr};
+
+  /// The checker when any CFD was learned, else nullptr: consistency is
+  /// measurable only then (paper §2.3).
+  const CfdChecker* consistency_checker() const {
+    return checker.cfds().empty() ? nullptr : &checker;
+  }
 };
 
 /// Mutable state shared by the standard transducers and the session that
@@ -186,10 +193,14 @@ struct WranglingState {
   /// mappings (see MatchAttribution docs).
   std::vector<MatchAttribution> feedback_attributions;
   std::set<size_t> attributed_feedback_items;
-  /// Cache of the CFDs learned from the data context; cfd_learning,
+  /// Cache of the compiled quality context; cfd_learning,
   /// mapping_repair, quality_metrics, source_quality and the session's
   /// quality estimate share it.
   LearnedCfds learned_cfds;
+  /// How often learned_cfds was (re)built, an empty context included:
+  /// once per version of what it is keyed on (the
+  /// vada_quality_context_compiles gauge).
+  uint64_t quality_context_compiles = 0;
   /// The session's KB change log when config.incremental.enabled (the
   /// session owns the log and attaches it to the KB); nullptr otherwise.
   DeltaLog* delta_log = nullptr;

@@ -383,6 +383,10 @@ void WranglingSession::PublishKbGauges() const {
   g.Fixed("vada_dedup_blocks_truncated",
           "Blocks cut short by max_pairs_per_block")
       ->Set(static_cast<int64_t>(dedup.blocks_truncated));
+  g.Fixed("vada_quality_context_compiles",
+          "Compilations of the quality context (learned CFDs and their "
+          "expectations), one per version of the data context")
+      ->Set(static_cast<int64_t>(state_->quality_context_compiles));
   // Persistent composite join indexes live only on cached snapshot
   // databases (per-evaluation scratch copies die with their run).
   size_t index_bytes = state_->snapshot_cache.ApproxIndexBytes();
@@ -523,25 +527,10 @@ Result<RelationQuality> WranglingSession::EstimateResultQuality() const {
   if (res == nullptr) {
     return Status::FailedPrecondition("no result yet: call Run first");
   }
-  Result<DataContext> context = ReadDataContext(kb_);
-  if (!context.ok()) return context.status();
-  Result<const LearnedCfds*> learned = LearnedCfdsOf(state_.get(), kb_);
-  if (!learned.ok()) return learned.status();
-  QualityEstimator estimator;
-  for (const DataContextBinding* binding :
-       context.value().BindingsOfKind(RelationRole::kReference)) {
-    const Relation* ref = kb_.FindRelation(binding->context_relation);
-    if (ref != nullptr && !ref->empty()) {
-      estimator.SetReference(ref, binding->correspondences);
-      break;
-    }
-  }
-  const LearnedCfds& cfds = *learned.value();
-  if (!cfds.cfds.empty()) {
-    estimator.SetCfds(cfds.cfds,
-                      cfds.evidence.has_value() ? &*cfds.evidence : nullptr);
-  }
-  return estimator.Estimate(*res);
+  Result<QualityEstimator> estimator =
+      ResultQualityEstimator(state_.get(), kb_);
+  if (!estimator.ok()) return estimator.status();
+  return estimator.value().Estimate(*res);
 }
 
 std::vector<Mapping> WranglingSession::mappings() const {

@@ -120,8 +120,11 @@ class WranglingSession {
   /// The wrangled result (nullptr before the first successful Run).
   const Relation* result() const;
 
-  /// Quality of the current result under the session's current evidence
-  /// (reference data and CFDs, when present).
+  /// Quality of the current result under the session's data context,
+  /// scored by the estimator quality_metrics scores mapping results with
+  /// (ResultQualityEstimator): accuracy against reference data,
+  /// consistency against the learned CFDs and relevance against master
+  /// data, each when present.
   Result<RelationQuality> EstimateResultQuality() const;
 
   /// Candidate mappings / selected mapping ids currently in the KB.

@@ -199,28 +199,24 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
 Status CfdLearningBody(WranglingState* state, KnowledgeBase* kb) {
   Result<const LearnedCfds*> learned = LearnedCfdsOf(state, *kb);
   if (!learned.ok()) return learned.status();
-  return WriteMetadataRelation(kb, CfdsToRelation(learned.value()->cfds));
+  return WriteMetadataRelation(
+      kb, CfdsToRelation(learned.value()->checker.cfds()));
 }
 
 Status MappingRepairBody(WranglingState* state, KnowledgeBase* kb) {
   Result<const LearnedCfds*> learned = LearnedCfdsOf(state, *kb);
   if (!learned.ok()) return learned.status();
-  const LearnedCfds& cfds = *learned.value();
-  if (cfds.cfds.empty()) return Status::OK();
+  const CfdChecker& checker = learned.value()->checker;
+  if (checker.cfds().empty()) return Status::OK();
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-  CfdChecker checker(cfds.cfds,
-                     cfds.evidence.has_value() ? &*cfds.evidence : nullptr);
   for (const Mapping& m : mappings.value()) {
     const Relation* raw = kb->FindRelation(m.result_predicate);
     if (raw == nullptr) continue;
-    Relation repaired(Schema("repaired_" + m.id, raw->schema().attributes()));
-    for (const Tuple& row : raw->rows()) {
-      VADA_RETURN_IF_ERROR(repaired.InsertUnchecked(row));
-    }
-    Result<size_t> count = checker.Repair(&repaired);
-    if (!count.ok()) return count.status();
-    VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, std::move(repaired)));
+    Result<Relation> repaired = checker.Repaired(*raw, "repaired_" + m.id);
+    if (!repaired.ok()) return repaired.status();
+    VADA_RETURN_IF_ERROR(
+        WriteMetadataRelation(kb, std::move(repaired).value()));
   }
   return Status::OK();
 }
@@ -228,41 +224,14 @@ Status MappingRepairBody(WranglingState* state, KnowledgeBase* kb) {
 Status QualityMetricsBody(WranglingState* state, KnowledgeBase* kb) {
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-  Result<DataContext> context = ReadDataContext(*kb);
-  if (!context.ok()) return context.status();
-  Result<const LearnedCfds*> learned = LearnedCfdsOf(state, *kb);
-  if (!learned.ok()) return learned.status();
-  const LearnedCfds& cfds = *learned.value();
-
-  QualityEstimator estimator;
-  // Accuracy reference: the first reference binding with instances.
-  for (const DataContextBinding* binding :
-       context.value().BindingsOfKind(RelationRole::kReference)) {
-    const Relation* ref = kb->FindRelation(binding->context_relation);
-    if (ref != nullptr && !ref->empty()) {
-      estimator.SetReference(ref, binding->correspondences);
-      break;
-    }
-  }
-  if (!cfds.cfds.empty()) {
-    estimator.SetCfds(cfds.cfds,
-                      cfds.evidence.has_value() ? &*cfds.evidence : nullptr);
-  }
-  // Relevance: the first master binding with instances.
-  for (const DataContextBinding* binding :
-       context.value().BindingsOfKind(RelationRole::kMaster)) {
-    const Relation* master = kb->FindRelation(binding->context_relation);
-    if (master != nullptr && !master->empty()) {
-      estimator.SetMaster(master, binding->correspondences);
-      break;
-    }
-  }
-
+  Result<QualityEstimator> estimator = ResultQualityEstimator(state, *kb);
+  if (!estimator.ok()) return estimator.status();
   std::vector<QualityMetricFact> facts;
   for (const Mapping& m : mappings.value()) {
     const Relation* rel = EffectiveResult(*kb, m);
     if (rel == nullptr) continue;
-    std::vector<QualityMetricFact> part = estimator.EstimateFacts(*rel, m.id);
+    std::vector<QualityMetricFact> part =
+        estimator.value().EstimateFacts(*rel, m.id);
     facts.insert(facts.end(), part.begin(), part.end());
   }
   return WriteMetadataRelation(kb, QualityMetricsToRelation(facts));
@@ -271,15 +240,11 @@ Status QualityMetricsBody(WranglingState* state, KnowledgeBase* kb) {
 Status SourceQualityBody(WranglingState* state, KnowledgeBase* kb) {
   Result<const LearnedCfds*> learned = LearnedCfdsOf(state, *kb);
   if (!learned.ok()) return learned.status();
-  const LearnedCfds& cfds = *learned.value();
   QualityEstimator estimator;
   // Source attribute names generally differ from the target vocabulary,
   // so accuracy-vs-reference does not apply here; completeness (and
   // consistency once CFDs exist on matching attribute names) does.
-  if (!cfds.cfds.empty()) {
-    estimator.SetCfds(cfds.cfds,
-                      cfds.evidence.has_value() ? &*cfds.evidence : nullptr);
-  }
+  estimator.SetChecker(learned.value()->consistency_checker());
   std::vector<QualityMetricFact> facts;
   for (const std::string& source : SourceNames(*kb)) {
     const Relation* rel = kb->FindRelation(source);
@@ -662,9 +627,39 @@ Result<const LearnedCfds*> LearnedCfdsOf(WranglingState* state,
     if (!evidence.has_value()) evidence = std::move(renamed);
   }
   cache.key = ReadSetKey(kb, std::move(reads));
-  cache.cfds = std::move(cfds);
-  cache.evidence = std::move(evidence);
+  cache.checker =
+      CfdChecker(std::move(cfds), evidence.has_value() ? &*evidence : nullptr);
+  ++state->quality_context_compiles;
   return &cache;
+}
+
+Result<QualityEstimator> ResultQualityEstimator(WranglingState* state,
+                                                const KnowledgeBase& kb) {
+  Result<DataContext> context = ReadDataContext(kb);
+  if (!context.ok()) return context.status();
+  Result<const LearnedCfds*> learned = LearnedCfdsOf(state, kb);
+  if (!learned.ok()) return learned.status();
+  QualityEstimator estimator;
+  // Accuracy reference: the first reference binding with instances.
+  for (const DataContextBinding* binding :
+       context.value().BindingsOfKind(RelationRole::kReference)) {
+    const Relation* ref = kb.FindRelation(binding->context_relation);
+    if (ref != nullptr && !ref->empty()) {
+      estimator.SetReference(ref, binding->correspondences);
+      break;
+    }
+  }
+  estimator.SetChecker(learned.value()->consistency_checker());
+  // Relevance: the first master binding with instances.
+  for (const DataContextBinding* binding :
+       context.value().BindingsOfKind(RelationRole::kMaster)) {
+    const Relation* master = kb.FindRelation(binding->context_relation);
+    if (master != nullptr && !master->empty()) {
+      estimator.SetMaster(master, binding->correspondences);
+      break;
+    }
+  }
+  return estimator;
 }
 
 }  // namespace vada

@@ -2,6 +2,7 @@
 #define VADA_WRANGLER_STANDARD_TRANSDUCERS_H_
 
 #include "common/status.h"
+#include "quality/metrics.h"
 #include "transducer/transducer.h"
 #include "wrangler/config.h"
 
@@ -35,13 +36,25 @@ Status RegisterStandardTransducers(TransducerRegistry* registry,
 /// (none before the first AddDataContext).
 Result<DataContext> ReadDataContext(const KnowledgeBase& kb);
 
-/// The CFDs learned from `kb`'s data context: its `data_context` relation
-/// and the reference and master relations it binds. Served from
-/// `state->learned_cfds` while the versions of those relations hold, and
-/// relearned (and re-cached) otherwise; either way the reads land in an
-/// attached access log.
+/// The quality context compiled from `kb`'s data context: the CFDs learned
+/// from its `data_context` relation and the reference and master relations
+/// it binds, compiled into one checker. Served from `state->learned_cfds`
+/// while the versions of those relations hold, and relearned, recompiled
+/// (counted in `state->quality_context_compiles`) and re-cached otherwise;
+/// either way the reads land in an attached access log.
 Result<const LearnedCfds*> LearnedCfdsOf(WranglingState* state,
                                          const KnowledgeBase& kb);
+
+/// The estimator that scores results against `kb`'s data context:
+/// accuracy against the first reference binding with instances,
+/// consistency through the compiled checker of LearnedCfdsOf, relevance
+/// against the first master binding with instances. quality_metrics
+/// scores every mapping result with it, and
+/// WranglingSession::EstimateResultQuality the wrangled result. It borrows
+/// the checker from `state->learned_cfds`, so use it before the next
+/// LearnedCfdsOf call, which may recompile that checker.
+Result<QualityEstimator> ResultQualityEstimator(WranglingState* state,
+                                                const KnowledgeBase& kb);
 
 }  // namespace vada
 

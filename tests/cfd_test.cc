@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "quality/cfd.h"
 
 namespace vada {
@@ -262,6 +269,271 @@ TEST(CfdTest, ToStringIsReadable) {
   std::string s = c.ToString();
   EXPECT_NE(s.find("street"), std::string::npos);
   EXPECT_NE(s.find("postcode"), std::string::npos);
+}
+
+
+// ---------------------------------------------------------------------------
+// The compiled checker against a reference kept here: the checker as it was
+// before it compiled, which rebuilt each variable CFD's expectation from the
+// evidence on every call and repaired a copy of the relation cell by cell.
+// ---------------------------------------------------------------------------
+
+namespace reference {
+
+std::map<Tuple, Value> Expectation(const Cfd& cfd, const Relation& rel) {
+  std::vector<size_t> lhs_idx;
+  for (const std::string& a : cfd.lhs_attributes) {
+    std::optional<size_t> i = rel.schema().AttributeIndex(a);
+    if (!i.has_value()) return {};
+    lhs_idx.push_back(*i);
+  }
+  std::optional<size_t> rhs_idx = rel.schema().AttributeIndex(cfd.rhs_attribute);
+  if (!rhs_idx.has_value()) return {};
+  std::map<Tuple, std::map<Value, size_t>> groups;
+  for (const Tuple& row : rel.rows()) {
+    if (row.at(*rhs_idx).is_null()) continue;
+    std::vector<Value> key;
+    bool matches = true;
+    for (size_t k = 0; k < lhs_idx.size() && matches; ++k) {
+      matches = cfd.lhs_pattern[k].Matches(row.at(lhs_idx[k]));
+      key.push_back(row.at(lhs_idx[k]));
+    }
+    if (matches) groups[Tuple(std::move(key))][row.at(*rhs_idx)]++;
+  }
+  std::map<Tuple, Value> expected;
+  for (const auto& [key, counts] : groups) {
+    const Value* best = nullptr;
+    size_t best_count = 0;
+    size_t total = 0;
+    for (const auto& [v, c] : counts) {
+      total += c;
+      if (c > best_count) {
+        best_count = c;
+        best = &v;
+      }
+    }
+    if (best != nullptr && best_count * 2 > total) expected.emplace(key, *best);
+  }
+  return expected;
+}
+
+struct Violation {
+  size_t row;
+  size_t cfd;  // index into the CFD list
+  Value expected;
+};
+
+std::vector<Violation> FindViolations(const std::vector<Cfd>& cfds,
+                                      const Relation* evidence,
+                                      const Relation& data) {
+  std::vector<Violation> out;
+  for (size_t c = 0; c < cfds.size(); ++c) {
+    const Cfd& cfd = cfds[c];
+    std::vector<size_t> lhs_idx;
+    bool attrs_ok = true;
+    for (const std::string& a : cfd.lhs_attributes) {
+      std::optional<size_t> i = data.schema().AttributeIndex(a);
+      attrs_ok = attrs_ok && i.has_value();
+      if (i.has_value()) lhs_idx.push_back(*i);
+    }
+    std::optional<size_t> rhs_idx =
+        data.schema().AttributeIndex(cfd.rhs_attribute);
+    if (!attrs_ok || !rhs_idx.has_value()) continue;
+    std::map<Tuple, Value> expected;
+    if (cfd.is_variable()) {
+      expected = Expectation(cfd, evidence != nullptr ? *evidence : data);
+    }
+    for (size_t r = 0; r < data.size(); ++r) {
+      const Tuple& row = data.rows()[r];
+      const Value& rhs_value = row.at(*rhs_idx);
+      if (rhs_value.is_null()) continue;
+      std::vector<Value> key;
+      bool matches_lhs = true;
+      for (size_t k = 0; k < lhs_idx.size() && matches_lhs; ++k) {
+        matches_lhs = cfd.lhs_pattern[k].Matches(row.at(lhs_idx[k]));
+        key.push_back(row.at(lhs_idx[k]));
+      }
+      if (!matches_lhs) continue;
+      if (!cfd.is_variable()) {
+        if (!cfd.rhs_pattern.Matches(rhs_value)) {
+          out.push_back(Violation{r, c, cfd.rhs_pattern.value()});
+        }
+      } else if (auto it = expected.find(Tuple(key));
+                 it != expected.end() && !(it->second == rhs_value)) {
+        out.push_back(Violation{r, c, it->second});
+      }
+    }
+  }
+  return out;
+}
+
+double ConsistencyScore(const std::vector<Cfd>& cfds, const Relation* evidence,
+                        const Relation& data) {
+  if (data.empty()) return 1.0;
+  std::set<size_t> bad_rows;
+  for (const Violation& v : FindViolations(cfds, evidence, data)) {
+    bad_rows.insert(v.row);
+  }
+  return 1.0 - static_cast<double>(bad_rows.size()) /
+                   static_cast<double>(data.size());
+}
+
+/// The repaired relation and the number of changed cells: expected values
+/// applied violation by violation to a copy of the rows, then rebuilt.
+std::pair<Relation, size_t> Repair(const std::vector<Cfd>& cfds,
+                                   const Relation* evidence,
+                                   const Relation& data) {
+  std::vector<Tuple> rows = data.rows();
+  size_t repaired = 0;
+  for (const Violation& v : FindViolations(cfds, evidence, data)) {
+    if (v.expected.is_null()) continue;
+    size_t rhs_idx = *data.schema().AttributeIndex(cfds[v.cfd].rhs_attribute);
+    if (!(rows[v.row].at(rhs_idx) == v.expected)) {
+      rows[v.row][rhs_idx] = v.expected;
+      ++repaired;
+    }
+  }
+  Relation rebuilt(data.schema());
+  for (Tuple& row : rows) {
+    EXPECT_TRUE(rebuilt.InsertUnchecked(std::move(row)).ok());
+  }
+  return {std::move(rebuilt), repaired};
+}
+
+/// "row R cfd C expected V", so mismatches print readably.
+std::string Describe(size_t row, size_t cfd, const Value& expected) {
+  return "row " + std::to_string(row) + " cfd " + std::to_string(cfd) +
+         " expected " + expected.ToLiteral();
+}
+
+}  // namespace reference
+
+const std::vector<std::string> kAttributes = {"a", "b", "c", "d"};
+
+/// A small-domain cell, so groups collide and conflict: null, an int, its
+/// string twin ("1" beside 1) or a letter.
+Value RandomValue(Rng* rng) {
+  switch (rng->UniformInt(0, 5)) {
+    case 0:
+      return Value::Null();
+    case 1:
+    case 2:
+      return Value::Int(rng->UniformInt(0, 2));
+    case 3:
+      return Value::String(std::to_string(rng->UniformInt(0, 2)));
+    default:
+      return Value::String(rng->Bernoulli(0.5) ? "x" : "y");
+  }
+}
+
+Value RandomNonNull(Rng* rng) {
+  Value v;
+  while (v.is_null()) v = RandomValue(rng);
+  return v;
+}
+
+/// A relation over all of kAttributes, or over a shuffled subset of them
+/// (so it may lack a CFD attribute), with up to `max_rows` rows.
+Relation RandomRelation(Rng* rng, const std::string& name, size_t max_rows) {
+  std::vector<std::string> attrs = kAttributes;
+  rng->Shuffle(&attrs);
+  if (rng->Bernoulli(0.4)) attrs.resize(1 + rng->Index(attrs.size()));
+  Relation rel(Schema::Untyped(name, attrs));
+  const size_t rows = rng->Index(max_rows + 1);
+  for (size_t r = 0; r < rows; ++r) {
+    std::vector<Value> row;
+    for (size_t a = 0; a < attrs.size(); ++a) row.push_back(RandomValue(rng));
+    EXPECT_TRUE(rel.InsertUnchecked(Tuple(std::move(row))).ok());
+  }
+  return rel;
+}
+
+/// One or two lhs attributes, each a wildcard or a constant, and a
+/// wildcard (variable) or constant rhs.
+Cfd RandomCfd(Rng* rng) {
+  std::vector<std::string> attrs = kAttributes;
+  rng->Shuffle(&attrs);
+  Cfd cfd;
+  const size_t lhs = 1 + rng->Index(2);
+  for (size_t k = 0; k < lhs; ++k) {
+    cfd.lhs_attributes.push_back(attrs[k]);
+    cfd.lhs_pattern.push_back(rng->Bernoulli(0.7)
+                                  ? PatternValue::Wildcard()
+                                  : PatternValue::Constant(RandomNonNull(rng)));
+  }
+  cfd.rhs_attribute = attrs[lhs];
+  cfd.rhs_pattern = rng->Bernoulli(0.6)
+                        ? PatternValue::Wildcard()
+                        : PatternValue::Constant(RandomNonNull(rng));
+  return cfd;
+}
+
+TEST(CfdCheckerDifferentialTest, CompiledCheckerMatchesPerCallReference) {
+  size_t violations = 0;
+  size_t changed_cells = 0;
+  size_t without_evidence = 0;
+  for (int seed = 0; seed < 300; ++seed) {
+    Rng rng(7000 + seed);
+    std::vector<Cfd> cfds;
+    for (size_t n = 1 + rng.Index(4); n > 0; --n) {
+      cfds.push_back(RandomCfd(&rng));
+    }
+    // The checker must not read its evidence after construction: give it
+    // a copy that dies first, and keep the original for the reference.
+    std::optional<Relation> evidence;
+    if (rng.Bernoulli(0.75)) evidence = RandomRelation(&rng, "evidence", 30);
+    std::optional<Relation> doomed = evidence;
+    CfdChecker checker(cfds, doomed.has_value() ? &*doomed : nullptr);
+    doomed.reset();
+    const Relation* ev = evidence.has_value() ? &*evidence : nullptr;
+    if (ev == nullptr) ++without_evidence;
+
+    // One checker serves several relations.
+    for (int d = 0; d < 3; ++d) {
+      Relation data = RandomRelation(&rng, "data", 30);
+      const std::string where =
+          "seed " + std::to_string(seed) + " relation " + std::to_string(d);
+      std::vector<std::string> got;
+      for (const CfdViolation& v : checker.FindViolations(data)) {
+        got.push_back(reference::Describe(
+            v.row_index, static_cast<size_t>(v.cfd - checker.cfds().data()),
+            v.expected));
+      }
+      std::vector<std::string> want;
+      for (const reference::Violation& v :
+           reference::FindViolations(cfds, ev, data)) {
+        want.push_back(reference::Describe(v.row, v.cfd, v.expected));
+      }
+      EXPECT_EQ(got, want) << where;
+      violations += want.size();
+      EXPECT_EQ(checker.ConsistencyScore(data),
+                reference::ConsistencyScore(cfds, ev, data))
+          << where;
+
+      auto [want_rel, want_count] = reference::Repair(cfds, ev, data);
+      changed_cells += want_count;
+      Relation in_place = data;
+      Result<size_t> count = checker.Repair(&in_place);
+      ASSERT_TRUE(count.ok()) << where;
+      EXPECT_EQ(count.value(), want_count) << where;
+      EXPECT_EQ(in_place.rows(), want_rel.rows()) << where;
+      EXPECT_EQ(in_place.name(), "data") << where;
+      size_t renamed_count = 0;
+      Result<Relation> renamed =
+          checker.Repaired(data, "repaired_data", &renamed_count);
+      ASSERT_TRUE(renamed.ok()) << where;
+      EXPECT_EQ(renamed.value().rows(), want_rel.rows()) << where;
+      EXPECT_EQ(renamed.value().name(), "repaired_data") << where;
+      EXPECT_EQ(renamed.value().schema().AttributeNames(),
+                data.schema().AttributeNames())
+          << where;
+      EXPECT_EQ(renamed_count, want_count) << where;
+    }
+  }
+  // The cases were not vacuous.
+  EXPECT_GT(violations, 100u);
+  EXPECT_GT(changed_cells, 50u);
+  EXPECT_GT(without_evidence, 30u);
 }
 
 }  // namespace

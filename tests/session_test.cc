@@ -341,6 +341,87 @@ TEST_F(SessionTest, ResultQualityEstimateAvailable) {
   EXPECT_TRUE(q.value().attribute.at("street").accuracy.has_value());
 }
 
+TEST_F(SessionTest, ResultQualityEstimateScoresRelevanceAgainstMaster) {
+  // The session scores its result with the estimator quality_metrics
+  // scores mappings with, so a master binding yields relevance in both.
+  WranglingSession session;
+  ASSERT_TRUE(Bootstrap(&session).ok());
+  ASSERT_TRUE(session
+                  .AddDataContext(address_, RelationRole::kMaster,
+                                  {{"street", "street"},
+                                   {"postcode", "postcode"}})
+                  .ok());
+  ASSERT_TRUE(session.Run().ok());
+  const Relation* metrics = session.kb().FindRelation("quality_metric");
+  ASSERT_NE(metrics, nullptr);
+  size_t mapping_relevance = 0;
+  for (const Tuple& row : metrics->rows()) {
+    mapping_relevance += row.at(1) == Value::String("relevance");
+  }
+  EXPECT_EQ(mapping_relevance, session.mappings().size());
+
+  Result<RelationQuality> q = session.EstimateResultQuality();
+  ASSERT_TRUE(q.ok()) << q.status().ToString();
+  ASSERT_TRUE(q.value().relevance.has_value());
+  QualityEstimator by_hand;
+  by_hand.SetMaster(&address_, {{"street", "street"}, {"postcode", "postcode"}});
+  EXPECT_EQ(q.value().relevance, by_hand.Estimate(*session.result()).relevance);
+  EXPECT_GT(*q.value().relevance, 0.0);
+}
+
+TEST_F(SessionTest, QualityContextCompilesOncePerDataContextVersion) {
+  WranglerConfig config;
+  config.fault_tolerance.sleep_ms = [](double) {};
+  WranglingSession session(config);
+  ASSERT_TRUE(Bootstrap(&session).ok());
+  ASSERT_TRUE(AddAddressContext(&session).ok());
+  ASSERT_TRUE(session.Run().ok());
+  EXPECT_EQ(session.state().quality_context_compiles, 1u)
+      << "cfd_learning, mapping_repair, quality_metrics and source_quality "
+         "share one compilation";
+
+  OrchestrationStats idle;
+  ASSERT_TRUE(session.Run(&idle).ok());
+  EXPECT_EQ(idle.steps, 0u);
+  EXPECT_EQ(session.state().quality_context_compiles, 1u);
+
+  ASSERT_TRUE(session
+                  .AddDataContext(address_, RelationRole::kMaster,
+                                  {{"street", "street"},
+                                   {"postcode", "postcode"}})
+                  .ok());
+  ASSERT_TRUE(session.Run().ok());
+  EXPECT_EQ(session.state().quality_context_compiles, 2u);
+
+  // A step that writes and then fails is rolled back. The rollback moves
+  // the version epoch, which every read-set key names, so the quality
+  // context is compiled once more when the bodies run again.
+  ASSERT_TRUE(
+      session.kb().CreateRelation(Schema::Untyped("side_effect", {"k"})).ok());
+  bool failed_once = false;
+  ASSERT_TRUE(session
+                  .AddTransducer(std::make_unique<FunctionTransducer>(
+                      "fails_once", "quality",
+                      "ready() :- sys_relation_role(_S, \"source\").",
+                      [&failed_once](KnowledgeBase* kb) {
+                        if (failed_once) return Status::OK();
+                        failed_once = true;
+                        VADA_RETURN_IF_ERROR(
+                            kb->Assert("side_effect", {Value::Int(1)}));
+                        return Status::Internal("fails once");
+                      }))
+                  .ok());
+  const uint64_t epoch = session.kb().version_epoch();
+  OrchestrationStats stats;
+  ASSERT_TRUE(session.Run(&stats).ok());
+  EXPECT_EQ(stats.rollbacks, 1u);
+  EXPECT_GT(session.kb().version_epoch(), epoch);
+  EXPECT_EQ(session.state().quality_context_compiles, 3u);
+  EXPECT_DOUBLE_EQ(session.MetricsReport().snapshot.Value(
+                       "vada_quality_context_compiles"),
+                   3.0);
+}
+
 TEST_F(SessionTest, MetricsReportExposesOrchestrationMetrics) {
   WranglingSession session;
   ASSERT_TRUE(Bootstrap(&session).ok());
