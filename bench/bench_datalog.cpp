@@ -7,9 +7,6 @@
 // size (naive re-derives the full closure each round).
 #include <benchmark/benchmark.h>
 
-#include <thread>
-
-#include "common/thread_pool.h"
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
 
@@ -199,62 +196,6 @@ void BM_IndexedJoin(benchmark::State& state) {
 }
 BENCHMARK(BM_IndexedJoin)->Arg(1000)->Arg(5000)->Unit(
     benchmark::kMillisecond);
-
-// Parallel per-stratum evaluation (DESIGN.md §5e): the same workloads
-// with a worker pool. range(0) is the *total* thread count — the caller
-// participates, so threads=T means a pool of T-1 workers. threads=1 is
-// the sequential escape hatch; outputs are bit-identical at any setting,
-// only wall time changes. Speedups track the host's true core count
-// (hardware_threads counter) — a single-core container shows ~1.0x.
-void BM_ParallelIndexedJoin(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  int n = static_cast<int>(state.range(1));
-  Program program = Parser::Parse("j(A, C) :- r(A, B), s(B, C).").value();
-  ThreadPool pool(static_cast<size_t>(threads - 1));
-  for (auto _ : state) {
-    Database db;
-    for (int i = 0; i < n; ++i) {
-      db.Insert("r", Tuple({Value::Int(i), Value::Int(i % 100)}));
-      db.Insert("s", Tuple({Value::Int(i % 100), Value::Int(i)}));
-    }
-    EvalOptions opts;
-    if (threads > 1) opts.pool = &pool;
-    Evaluator eval(program, opts);
-    if (!eval.Prepare().ok()) state.SkipWithError("prepare failed");
-    if (!eval.Run(&db).ok()) state.SkipWithError("run failed");
-    benchmark::DoNotOptimize(db.FactCount("j"));
-  }
-  state.SetLabel("threads=" + std::to_string(threads));
-  state.counters["hardware_threads"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_ParallelIndexedJoin)
-    ->Args({1, 5000})
-    ->Args({4, 5000})
-    ->Unit(benchmark::kMillisecond);
-
-void BM_ParallelTransitiveClosureGrid(benchmark::State& state) {
-  int threads = static_cast<int>(state.range(0));
-  int side = static_cast<int>(state.range(1));
-  Program program = TcProgram();
-  ThreadPool pool(static_cast<size_t>(threads - 1));
-  for (auto _ : state) {
-    Database db = GridDb(side);
-    EvalOptions opts;
-    if (threads > 1) opts.pool = &pool;
-    Evaluator eval(program, opts);
-    if (!eval.Prepare().ok()) state.SkipWithError("prepare failed");
-    if (!eval.Run(&db).ok()) state.SkipWithError("run failed");
-    benchmark::DoNotOptimize(db.FactCount("tc"));
-  }
-  state.SetLabel("threads=" + std::to_string(threads));
-  state.counters["hardware_threads"] =
-      static_cast<double>(std::thread::hardware_concurrency());
-}
-BENCHMARK(BM_ParallelTransitiveClosureGrid)
-    ->Args({1, 12})
-    ->Args({4, 12})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace vada::datalog

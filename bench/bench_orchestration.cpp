@@ -102,35 +102,6 @@ int main() {
   }
   SessionMetricsReport metrics_report = obs_session.MetricsReport();
 
-  // --- Parallel evaluation (DESIGN.md §5e): the same bootstrap with 4
-  // threads. Output is bit-identical by construction; only wall time may
-  // change. On a single-core host the pool is ~neutral. ---
-  auto timed_bootstrap = [&](const WranglerConfig& cfg, double* out_ms) {
-    auto par_session = std::make_unique<WranglingSession>(cfg);
-    Status ps = par_session->SetTargetSchema(PaperTargetSchema());
-    for (const Relation& src : sources) {
-      if (ps.ok()) ps = par_session->AddSource(src);
-    }
-    *out_ms = TimeMs([&] {
-      if (ps.ok()) ps = par_session->Run();
-    });
-    return ps;
-  };
-  WranglerConfig seq_config;
-  seq_config.obs.enabled = false;
-  double seq_ms = 0.0;
-  s = timed_bootstrap(seq_config, &seq_ms);
-  WranglerConfig par_config = seq_config;
-  par_config.parallelism.threads = 4;
-  double par_ms = 0.0;
-  if (s.ok()) s = timed_bootstrap(par_config, &par_ms);
-  if (!s.ok()) {
-    std::fprintf(stderr, "parallel bootstrap failed: %s\n",
-                 s.ToString().c_str());
-    return 1;
-  }
-  double parallel_speedup = par_ms > 0 ? seq_ms / par_ms : 0.0;
-
   // Dependency checks as "evaluated +memo hits" (DESIGN.md §5l).
   auto checks = [](const OrchestrationStats& st) {
     return std::to_string(st.dependency_checks) + " +" +
@@ -159,11 +130,6 @@ int main() {
                     Fmt(boot_ms > 0 ? (obs_boot_ms / boot_ms - 1.0) * 100 : 0,
                         1) +
                     "%"});
-  table.AddRow({"VADA bootstrap (threads=1)", "-", "-", Fmt(seq_ms, 1), "-",
-                "-"});
-  table.AddRow({"VADA bootstrap (threads=4)", "-", "-",
-                Fmt(par_ms, 1), "-",
-                "speedup " + Fmt(parallel_speedup, 2) + "x"});
   table.Print();
 
   std::printf(
@@ -194,9 +160,6 @@ int main() {
              metrics_report.snapshot.Value("vada_datalog_rules_fired"));
   report.Add("datalog_join_probes",
              metrics_report.snapshot.Value("vada_datalog_join_probes"));
-  report.Add("bootstrap_threads1_ms", seq_ms);
-  report.Add("bootstrap_threads4_ms", par_ms);
-  report.Add("parallel_speedup", parallel_speedup);
   report.Add("hardware_threads",
              static_cast<double>(std::thread::hardware_concurrency()));
   report.WriteJson();

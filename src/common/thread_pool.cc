@@ -120,4 +120,19 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   return future;
 }
 
+size_t HardwareThreads() {
+  static const size_t threads =
+      std::max(1u, std::thread::hardware_concurrency());
+  return threads;
+}
+
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn) {
+  if (pool != nullptr) {
+    pool->ParallelFor(n, fn);
+    return;
+  }
+  for (size_t i = 0; i < n; ++i) fn(i);
+}
+
 }  // namespace vada

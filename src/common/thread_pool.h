@@ -17,9 +17,10 @@
 namespace vada {
 
 /// A fixed-size worker pool with a single shared FIFO queue — no work
-/// stealing, no dynamic sizing. Built for the evaluation engine's
-/// fan-out/fan-in pattern (dependency scans, per-stratum rule batches):
-/// `ParallelFor` is the workhorse, `Submit` covers free-form tasks.
+/// stealing, no dynamic sizing. Built for the fan-out/fan-in pattern of
+/// transducer bodies (one task per dedup block, mapping, quality subject
+/// or source/binding pair): `ParallelFor` is the workhorse, `Submit`
+/// covers free-form tasks.
 ///
 /// Determinism contract: the pool never decides *what* runs or in what
 /// order results are consumed — callers build an indexed task list and
@@ -75,6 +76,15 @@ class ThreadPool {
   std::deque<std::function<void()>> queue_ VADA_GUARDED_BY(mutex_);
   bool stop_ VADA_GUARDED_BY(mutex_) = false;
 };
+
+/// std::thread::hardware_concurrency(), at least 1. Read once per process:
+/// the call reads sysfs, and every default WranglerConfig asks for it.
+size_t HardwareThreads();
+
+/// `pool->ParallelFor(n, fn)`, or fn(0) .. fn(n-1) on the calling thread
+/// when `pool` is null (a session configured with one thread has none).
+void ParallelFor(ThreadPool* pool, size_t n,
+                 const std::function<void(size_t)>& fn);
 
 }  // namespace vada
 

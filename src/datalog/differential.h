@@ -26,9 +26,7 @@ using RelationDelta = std::map<std::string, DeltaRows>;
 
 struct DifferentialOptions {
   /// Options for the full evaluations the maintainer still performs
-  /// (initialization, per-stratum recomputation, full fallback). The
-  /// incremental paths are sequential; a pool only accelerates the
-  /// full paths, bit-identically (DESIGN.md §5e).
+  /// (initialization, per-stratum recomputation, full fallback).
   EvalOptions eval;
   /// ApplyDelta falls back to one full re-evaluation when a batch
   /// changes more than this fraction of the stored base facts
@@ -77,8 +75,7 @@ struct DeltaStats {
 /// Whole batches above DifferentialOptions::max_delta_fraction fall
 /// back to one full re-evaluation. Every path yields the same fact
 /// sets as evaluating the changed base from scratch (the 500-program
-/// delta fuzz harness asserts this bit-for-bit, order-normalized), and
-/// results are identical with or without a thread pool.
+/// delta fuzz harness asserts this bit-for-bit, order-normalized).
 ///
 /// Snapshots: each ApplyDelta publishes a fresh Database that borrows
 /// all unchanged predicates from the previous snapshot (zero-copy,

@@ -1275,10 +1275,8 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
     // full; later rounds evaluate only recursive rules, once per
     // recursive occurrence with that occurrence restricted to the
     // previous round's delta. Every task of a round reads the same
-    // immutable round-start state and results are merged in fixed task
-    // order, so the rules of a round are embarrassingly parallel and a
-    // pool run is bit-identical to an inline run — same facts, same
-    // per-predicate order, same EvalStats (DESIGN.md §5e).
+    // round-start state and results are merged in fixed task order, so
+    // a rule never sees facts derived earlier in its own round.
     struct RuleTask {
       const CompiledRule* rule = nullptr;
       RuleExplain* rex = nullptr;  // EXPLAIN ANALYZE target, else null
@@ -1288,10 +1286,6 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
       JoinWork work;
       std::vector<LiteralRuntime> lit_stats;  // filled iff rex != nullptr
     };
-    ThreadPool* pool =
-        (options_.pool != nullptr && options_.pool->workers() > 0)
-            ? options_.pool
-            : nullptr;
 
     auto add_task = [&](const CompiledRule& rule, RuleExplain* rex,
                         size_t delta_position, std::vector<RuleTask>* tasks) {
@@ -1304,19 +1298,13 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
     };
 
     auto run_tasks = [&](std::vector<RuleTask>* tasks, const Database* delta) {
-      auto eval_one = [&](size_t i) {
-        RuleTask& task = (*tasks)[i];
+      for (RuleTask& task : *tasks) {
         if (task.rex != nullptr) task.lit_stats.resize(task.rule->body.size());
         EvaluateRule(*task.rule, *db, delta, task.delta_position,
                      options_.planner, &task.produced,
                      provenance != nullptr ? &task.premises : nullptr,
                      &task.work,
                      task.lit_stats.empty() ? nullptr : &task.lit_stats);
-      };
-      if (pool != nullptr && tasks->size() > 1) {
-        pool->ParallelFor(tasks->size(), eval_one);
-      } else {
-        for (size_t i = 0; i < tasks->size(); ++i) eval_one(i);
       }
     };
 
@@ -1342,12 +1330,19 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
           if (db->InsertIds(rule.head.predicate, row, head_arity)) {
             ++st->facts_derived;
             if (task.rex != nullptr) ++task.rex->facts_derived;
-            delta_out->InsertIds(rule.head.predicate, row, head_arity);
+            if (delta_out != nullptr) {
+              delta_out->InsertIds(rule.head.predicate, row, head_arity);
+            }
           }
         }
       }
     };
 
+    // A stratum without a recursive occurrence is done after round 0:
+    // no later round would read its delta, so none is kept.
+    const bool recursive = std::any_of(
+        normal_rules.begin(), normal_rules.end(),
+        [](const CompiledRule& r) { return !r.recursive_positions.empty(); });
     Database delta;
     ++st->iterations;
     {
@@ -1356,7 +1351,7 @@ Status Evaluator::RunInternal(Database* db, EvalStats* stats,
         add_task(normal_rules[ri], normal_rex[ri], kNoDelta, &tasks);
       }
       run_tasks(&tasks, nullptr);
-      merge_tasks(&tasks, &delta);
+      merge_tasks(&tasks, recursive ? &delta : nullptr);
     }
 
     for (size_t iter = 0; iter < options_.max_iterations; ++iter) {

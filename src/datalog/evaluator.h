@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "datalog/ast.h"
 #include "datalog/database.h"
 #include "datalog/planner.h"
@@ -24,8 +23,7 @@ struct EvalOptions {
   /// kept as the paper-ablation baseline (bench E9) and as an oracle for
   /// differential testing. Semi-naive rounds have batch semantics: every
   /// rule of a round is evaluated against the round-start database and
-  /// results are merged in rule order, which is what makes parallel and
-  /// sequential evaluation bit-identical (DESIGN.md §5e).
+  /// results are merged in rule order.
   bool semi_naive = true;
   /// Hard cap on fixpoint iterations per stratum. Pure Datalog always
   /// terminates, but an assignment doing arithmetic invents values, so
@@ -36,12 +34,6 @@ struct EvalOptions {
   /// (rules fired, facts derived, join probes, per-stratum time) into
   /// this registry. Null: no instrumentation beyond EvalStats.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional worker pool (not owned). When set, the rules of each
-  /// semi-naive round are evaluated concurrently, one task per rule (per
-  /// delta occurrence in later rounds). Results are merged in fixed task
-  /// order, so derived facts, their order, and EvalStats are identical
-  /// to a nullptr-pool run. Null: evaluate inline on the calling thread.
-  ThreadPool* pool = nullptr;
   /// Join planning: composite hash-index probing and cost-based literal
   /// reordering (DESIGN.md §5f). Defaults on; `{.indexes = false,
   /// .reorder = false}` is the full-scan, legacy-order reference oracle

@@ -18,9 +18,8 @@ struct LiteralRuntime {
   uint64_t index_probes = 0;     ///< composite hash-index lookups
   uint64_t index_candidates = 0; ///< facts enumerated from index buckets
   /// Inclusive wall time: this literal *and* everything nested inside
-  /// it in the join tree. Summed across a rule's tasks (one per delta
-  /// occurrence), which a pool runs concurrently, so it can exceed the
-  /// rule's wall time there (it is CPU-time-like).
+  /// it in the join tree, summed across a rule's tasks (one per delta
+  /// occurrence).
   uint64_t time_ns = 0;
 
   void Add(const LiteralRuntime& o) {

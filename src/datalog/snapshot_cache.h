@@ -43,9 +43,12 @@ namespace vada::datalog {
 /// snapshot shares one lazily built index; dropping or rebuilding a
 /// snapshot drops its indexes with it.
 ///
-/// Thread-safe: `Get` may be called concurrently from pool workers
-/// (eligibility scans share one cache); snapshots are returned as
-/// `shared_ptr<const Database>` and are immutable after construction.
+/// Thread-safe: `Get` may be called concurrently. A session calls it only
+/// on the thread that owns the KB (the KB's access log is not
+/// synchronised) and hands the snapshots to pool workers, which may
+/// evaluate over one snapshot at once: snapshots are returned as
+/// `shared_ptr<const Database>` and are immutable after construction,
+/// their lazily built indexes included (Database::EnsureBoundIndex).
 class SnapshotCache {
  public:
   struct Stats {

@@ -11,6 +11,7 @@
 #include <unordered_map>
 
 #include "common/similarity.h"
+#include "common/thread_pool.h"
 
 namespace vada {
 
@@ -290,7 +291,7 @@ double DuplicateDetector::RecordSimilarity(const Relation& rel, size_t row_a,
 }
 
 Result<std::vector<DuplicatePair>> DuplicateDetector::FindDuplicates(
-    const Relation& rel, DedupStats* stats) const {
+    const Relation& rel, DedupStats* stats, ThreadPool* pool) const {
   DedupStats local;
   DedupStats& st = (stats != nullptr) ? *stats : local;
   st = DedupStats();
@@ -328,13 +329,29 @@ Result<std::vector<DuplicatePair>> DuplicateDetector::FindDuplicates(
   }
 
   std::vector<DuplicatePair> out;
-  std::vector<size_t> indexes = ComparedAttributes(rel.schema(), options_);
+  const std::vector<size_t> indexes =
+      ComparedAttributes(rel.schema(), options_);
   if (indexes.empty()) return out;
-  size_t required = std::min(options_.min_shared_fields, indexes.size());
-  PairScorer scorer(std::move(indexes), required);
-  scorer.Reserve(rel.size());
-  for (const Tuple& row : rel.rows()) scorer.AddRow(row);
+  const size_t required = std::min(options_.min_shared_fields, indexes.size());
+
+  // One task per block that holds a pair, scoring with a scorer of its
+  // own over the block's rows. Results are merged in blocking-key order,
+  // so the pairs and the stats are the same with or without a pool.
+  std::vector<const std::vector<size_t>*> paired;
   for (const auto& [key, rows] : blocks) {
+    if (rows.size() > 1) paired.push_back(&rows);
+  }
+  struct BlockResult {
+    std::vector<DuplicatePair> pairs;
+    DedupStats stats;
+  };
+  std::vector<BlockResult> results(paired.size());
+  ParallelFor(pool, paired.size(), [&](size_t b) {
+    const std::vector<size_t>& rows = *paired[b];
+    BlockResult& result = results[b];
+    PairScorer scorer(indexes, required);
+    scorer.Reserve(rows.size());
+    for (size_t r : rows) scorer.AddRow(rel.rows()[r]);
     size_t budget = options_.max_pairs_per_block;
     bool truncated = false;
     for (size_t i = 0; i < rows.size() && !truncated; ++i) {
@@ -344,28 +361,31 @@ Result<std::vector<DuplicatePair>> DuplicateDetector::FindDuplicates(
           break;
         }
         --budget;
-        ++st.pairs_considered;
-        std::optional<double> sim =
-            scorer.Score(rows[i], rows[j], options_.threshold);
+        ++result.stats.pairs_considered;
+        std::optional<double> sim = scorer.Score(i, j, options_.threshold);
         if (!sim.has_value()) {
-          ++st.pairs_pruned;
+          ++result.stats.pairs_pruned;
           continue;
         }
-        ++st.pairs_scored;
+        ++result.stats.pairs_scored;
         if (*sim >= options_.threshold) {
-          ++st.pairs_matched;
-          out.push_back(DuplicatePair{rows[i], rows[j], *sim});
+          ++result.stats.pairs_matched;
+          result.pairs.push_back(DuplicatePair{rows[i], rows[j], *sim});
         }
       }
     }
-    if (truncated) ++st.blocks_truncated;
+    if (truncated) ++result.stats.blocks_truncated;
+  });
+  for (const BlockResult& result : results) {
+    st += result.stats;
+    out.insert(out.end(), result.pairs.begin(), result.pairs.end());
   }
   return out;
 }
 
 Result<DuplicateClusters> DuplicateDetector::Cluster(
-    const Relation& rel, DedupStats* stats) const {
-  Result<std::vector<DuplicatePair>> pairs = FindDuplicates(rel, stats);
+    const Relation& rel, DedupStats* stats, ThreadPool* pool) const {
+  Result<std::vector<DuplicatePair>> pairs = FindDuplicates(rel, stats, pool);
   if (!pairs.ok()) return pairs.status();
   UnionFind uf(rel.size());
   for (const DuplicatePair& p : pairs.value()) {

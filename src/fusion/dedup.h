@@ -9,6 +9,8 @@
 
 namespace vada {
 
+class ThreadPool;
+
 /// Options for duplicate detection.
 struct DedupOptions {
   /// Attributes used to block candidate pairs (rows compared only within
@@ -71,13 +73,18 @@ class DuplicateDetector {
   /// All pairs at or above the threshold, block by block in blocking-key
   /// order, each block's pairs in row order. A pair's `similarity` is
   /// exactly RecordSimilarity's; pairs that provably cannot reach the
-  /// threshold are rejected without scoring their string cells.
+  /// threshold are rejected without scoring their string cells. With a
+  /// `pool`, the blocks are scored as concurrent tasks (one per block
+  /// that holds a pair); the pairs, their order and `stats` are the same
+  /// as without one.
   Result<std::vector<DuplicatePair>> FindDuplicates(
-      const Relation& rel, DedupStats* stats = nullptr) const;
+      const Relation& rel, DedupStats* stats = nullptr,
+      ThreadPool* pool = nullptr) const;
 
-  /// Union-find clustering of duplicate pairs.
+  /// Union-find clustering of duplicate pairs (FindDuplicates' `pool`).
   Result<DuplicateClusters> Cluster(const Relation& rel,
-                                    DedupStats* stats = nullptr) const;
+                                    DedupStats* stats = nullptr,
+                                    ThreadPool* pool = nullptr) const;
 
  private:
   DedupOptions options_;

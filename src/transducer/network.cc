@@ -4,7 +4,6 @@
 #include <array>
 #include <cassert>
 #include <chrono>
-#include <set>
 #include <thread>
 
 #include "common/logging.h"
@@ -406,7 +405,6 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
   obs::Histogram* control_sync_hist = nullptr;
   obs::Histogram* dep_check_hist = nullptr;
   obs::Histogram* rollback_hist = nullptr;
-  obs::Histogram* scan_speedup_hist = nullptr;
   if (m != nullptr) {
     steps_counter =
         m->GetCounter("vada_orchestrator_steps", "Transducer executions");
@@ -435,16 +433,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         m->GetHistogram("vada_kb_rollback_seconds",
                         "WriteGuard rollback of one failed Execute()",
                         obs::Histogram::DefaultLatencyBucketsSeconds());
-    scan_speedup_hist = m->GetHistogram(
-        "vada_orchestrator_scan_speedup",
-        "Parallel eligibility-scan speedup: sum of per-query wall times "
-        "divided by the parallel phase's wall time (1.0 = no benefit)",
-        {0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 8.0, 12.0, 16.0});
   }
-  ThreadPool* pool =
-      (options_.pool != nullptr && options_.pool->workers() > 0)
-          ? options_.pool
-          : nullptr;
 
   // Fixpoint probes are a per-Run budget (a new Run is new information:
   // the user added context or feedback, so benched transducers deserve
@@ -455,17 +444,6 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
   auto finalize = [&](Status status) {
     st->quarantined = OpenCircuits();
     PublishQuarantineGauge(m);
-    if (m != nullptr && options_.pool != nullptr) {
-      // Published as a delta against the pool's lifetime counter, so a
-      // pool shared across sessions or Run() calls is never re-counted.
-      uint64_t total = options_.pool->tasks_executed();
-      if (total > pool_tasks_published_) {
-        m->GetCounter("vada_pool_tasks_total",
-                      "Tasks executed on the shared worker pool")
-            ->Increment(total - pool_tasks_published_);
-        pool_tasks_published_ = total;
-      }
-    }
     return status;
   };
 
@@ -491,15 +469,10 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
 
     // Eligibility: something the transducer's last step read or wrote
     // moved AND dependency satisfied AND not quarantined (open circuits
-    // sit out their cooldown). Three phases so the dependency queries —
-    // the expensive, read-only part — can run on the pool: (1)
-    // sequential gating on circuits and transducer keys, which mutates
-    // circuit bookkeeping; (2) query evaluation over the now-immutable KB,
-    // concurrent when a pool is configured; (3) sequential consumption
-    // in registration order, so failure recording, abort behavior, and
-    // the eligible order the policy sees match the inline path exactly.
-    // A query runs only when its memoised answer no longer holds: most
-    // steps move relations no dependency reads.
+    // sit out their cooldown). Two passes: gating on circuits and
+    // transducer keys first, then the dependency answers in registration
+    // order. A query runs only when its memoised answer no longer holds:
+    // most steps move relations no dependency reads.
     std::vector<Transducer*> eligible;
     {
       obs::ScopedSpan eligibility_span(spans, eligibility_hist, "eligibility",
@@ -510,7 +483,7 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         VADA_RETURN_IF_ERROR(SyncControlFactsIfStale(kb));
       }
 
-      // Phase 1: gating (mutates failure_state_; must stay sequential).
+      // Gating (mutates failure_state_).
       std::vector<Transducer*> candidates;
       for (const std::unique_ptr<Transducer>& t : registry_->transducers()) {
         FailureState* fs = nullptr;
@@ -544,89 +517,35 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
         candidates.push_back(t.get());
       }
 
-      // Dependency texts parse at most once per Run sequence; resolve
-      // them up front (sequentially — the map is not thread-safe).
-      std::vector<Result<Dependency*>> deps;
-      deps.reserve(candidates.size());
+      // Answers in registration order. Candidates sharing a dependency
+      // text share its memo, so only the first of them evaluates it.
       for (Transducer* t : candidates) {
-        deps.push_back(DependencyFor(t->input_dependency()));
-      }
-      auto memo_holds = [&](size_t i) {
-        return deps[i].ok() && deps[i].value()->key.Holds(*kb);
-      };
-      std::vector<Result<std::vector<Tuple>>> ready(
-          candidates.size(),
-          Result<std::vector<Tuple>>(Status::Internal("not evaluated")));
-      std::vector<ReadSetKey> keys(candidates.size());
-      auto eval_dep = [&](size_t i) {
-        // SpanCollector is thread-safe (per-thread lanes), so pool
-        // workers record real spans — each worker lands on its own
-        // Chrome-trace tid instead of interleaving on one.
-        obs::ScopedSpan dep_span(spans, dep_check_hist, "dep_check",
-                                 "orchestrator");
-        if (!deps[i].ok()) {
-          ready[i] = deps[i].status();
-          return;
-        }
-        keys[i] = ReadSetKey(*kb, deps[i].value()->reads);
-        ready[i] = EvaluateDependency(*deps[i].value(), *kb);
-      };
-
-      // Phase 2 (parallel mode only): evaluate up front on the pool every
-      // query whose memoised answer no longer holds, once per distinct
-      // dependency (candidates sharing a text find its answer memoised
-      // in phase 3). The KB is not mutated until the chosen transducer
-      // executes, and snapshot-cache lookups are thread-safe, so the
-      // queries are independent pure reads.
-      const bool parallel_scan = pool != nullptr && candidates.size() > 1;
-      std::vector<bool> evaluated(candidates.size(), false);
-      if (parallel_scan) {
-        std::vector<size_t> misses;
-        std::set<const Dependency*> queued;
-        for (size_t i = 0; i < candidates.size(); ++i) {
-          if (memo_holds(i)) continue;
-          if (deps[i].ok() && !queued.insert(deps[i].value()).second) continue;
-          misses.push_back(i);
-          evaluated[i] = true;
-        }
-        std::vector<uint64_t> query_ns(misses.size(), 0);
-        uint64_t wall0 = obs::MonotonicNanos();
-        pool->ParallelFor(misses.size(), [&](size_t k) {
-          uint64_t q0 = obs::MonotonicNanos();
-          eval_dep(misses[k]);
-          query_ns[k] = obs::MonotonicNanos() - q0;
-        });
-        uint64_t wall = obs::MonotonicNanos() - wall0;
-        if (scan_speedup_hist != nullptr && misses.size() > 1 && wall > 0) {
-          uint64_t sequential_ns = 0;
-          for (uint64_t ns : query_ns) sequential_ns += ns;
-          scan_speedup_hist->Observe(static_cast<double>(sequential_ns) /
-                                     static_cast<double>(wall));
-        }
-      }
-
-      // Phase 3: consume answers in registration order. Counters are
-      // incremented here, not at evaluation, so an abort on a failed
-      // dependency reports the same dependency_checks as the inline
-      // path, which never evaluates past the failure. A candidate not
-      // evaluated up front reads the memo now, against the KB as the
-      // inline path sees it, and evaluates on a miss.
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        Transducer* t = candidates[i];
-        if (!evaluated[i] && memo_holds(i)) {
+        Result<Dependency*> dep = DependencyFor(t->input_dependency());
+        if (dep.ok() && dep.value()->key.Holds(*kb)) {
           ++st->dependency_memo_hits;
           if (memo_hits_counter != nullptr) memo_hits_counter->Increment();
-          if (deps[i].value()->ready) eligible.push_back(t);
+          if (dep.value()->ready) eligible.push_back(t);
           continue;
         }
         ++st->dependency_checks;
         if (dep_checks_counter != nullptr) dep_checks_counter->Increment();
-        if (!evaluated[i]) eval_dep(i);
-        if (!ready[i].ok()) {
-          Status dep_error(ready[i].status().code(),
+        Result<std::vector<Tuple>> ready(Status::Internal("not evaluated"));
+        ReadSetKey key;
+        {
+          obs::ScopedSpan dep_span(spans, dep_check_hist, "dep_check",
+                                   "orchestrator");
+          if (!dep.ok()) {
+            ready = dep.status();
+          } else {
+            key = ReadSetKey(*kb, dep.value()->reads);
+            ready = EvaluateDependency(*dep.value(), *kb);
+          }
+        }
+        if (!ready.ok()) {
+          Status dep_error(ready.status().code(),
                            "input dependency of " + t->name() +
                                " failed to evaluate: " +
-                               ready[i].status().message());
+                               ready.status().message());
           if (!fp.enabled ||
               fp.on_failure_exhausted == FailureAction::kAbort) {
             return finalize(dep_error);
@@ -638,10 +557,9 @@ Status NetworkTransducer::Run(KnowledgeBase* kb, OrchestrationStats* stats) {
           keys_[t->name()] = ReadSetKey::WholeKb(*kb);
           continue;
         }
-        Dependency* dep = deps[i].value();
-        dep->key = std::move(keys[i]);
-        dep->ready = !ready[i].value().empty();
-        if (dep->ready) eligible.push_back(t);
+        dep.value()->key = std::move(key);
+        dep.value()->ready = !ready.value().empty();
+        if (dep.value()->ready) eligible.push_back(t);
       }
     }
     if (eligible.empty()) {

@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "datalog/ast.h"
 #include "datalog/planner.h"
 #include "datalog/snapshot_cache.h"
@@ -83,19 +82,12 @@ struct OrchestratorOptions {
   /// Fault tolerance: write-guard rollback, retry/backoff, quarantine,
   /// budgets, failure facts (see failure_policy.h).
   FailurePolicy failure_policy;
-  /// Worker pool for the eligibility scan (not owned; may be shared with
-  /// the evaluator). When set, the dependency queries of one scan are
-  /// evaluated concurrently over the immutable KB; gating, failure
-  /// recording, and policy choice stay sequential in registration order,
-  /// so scheduling decisions are identical to a nullptr-pool run. Null:
-  /// the scan runs inline exactly as before (the threads=1 escape hatch).
-  ThreadPool* pool = nullptr;
   /// Version-keyed relation-snapshot cache shared by the dependency
   /// queries (not owned; a session passes the one cache its mapping
   /// execution also reads through). Only relations whose version moved
   /// since the previous scan are re-snapshotted. Null: every query
   /// copies what it reads — for standalone orchestrators in tests and
-  /// benches. Works with or without `pool`.
+  /// benches.
   datalog::SnapshotCache* snapshot_cache = nullptr;
   /// Join planning of the scan's dependency queries (composite index
   /// probing, cost-based literal reordering; see datalog/planner.h).
@@ -283,9 +275,6 @@ class NetworkTransducer {
   std::map<std::string, Dependency> dependencies_;
   ControlSync control_;
   size_t next_step_ = 0;
-  /// High-water mark of options_.pool->tasks_executed() already published
-  /// to the vada_pool_tasks_total counter (published as deltas per Run).
-  uint64_t pool_tasks_published_ = 0;
 };
 
 }  // namespace vada

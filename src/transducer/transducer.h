@@ -27,6 +27,12 @@ namespace vada {
 ///    outside the KB is never noticed to change. In-memory state is
 ///    allowed only as a cache keyed on KB versions (ReadSetKey) or as
 ///    the transducer's own memo;
+///  * touch the knowledge base from the calling thread only: the KB
+///    records accesses in an unsynchronised log while the step runs. A
+///    body that fans work out over a pool looks up all its KB inputs
+///    (snapshot-cache reads included) before the fan-out, hands the
+///    tasks plain data, and writes after the fan-out, in task order
+///    (DESIGN.md §5e);
 ///  * be idempotent — re-running on unchanged inputs must not change the
 ///    KB (use ReplaceRelationIfChanged). The orchestrator does not re-run
 ///    a step to check this; tests audit it (tests/fixpoint_auditor.h);

@@ -3,12 +3,14 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "context/data_context.h"
 #include "context/user_context.h"
 #include "datalog/planner.h"
@@ -44,17 +46,19 @@ struct SourceSelectorOptions {
   bool exclude_below_min = true;
 };
 
-/// Parallel evaluation (DESIGN.md §5e). The default — one thread —
-/// runs everything inline; the session only constructs a pool when
-/// asked.
+/// Parallel transducer bodies (DESIGN.md §5e).
 struct ParallelismOptions {
-  /// Worker threads for eligibility scans (one task per dependency
-  /// query) and per-stratum rule evaluation (one task per rule). 1 (or
-  /// 0) means no pool is created and everything runs inline on the
-  /// calling thread. Results are deterministic at every setting —
-  /// parallel evaluation merges in fixed task order — so raising this
-  /// never changes output, only wall time.
-  size_t threads = 1;
+  /// Threads the session's pool runs transducer bodies on, the calling
+  /// thread included: duplicate detection (one task per blocking-key
+  /// block), mapping execution (one per mapping), quality_metrics and
+  /// source_quality (one per mapping result or source) and
+  /// instance_matching (one per source and data-context binding).
+  /// Orchestration, repair, incremental mapping execution and every KB
+  /// read and write stay on the calling thread. Defaults to the hardware
+  /// thread count; 1 (or 0) creates no pool and runs everything inline.
+  /// Output is identical at every setting — tasks merge in fixed order —
+  /// so this changes only wall time.
+  size_t threads = HardwareThreads();
 };
 
 /// Delta-driven differential maintenance of mapping execution — the
@@ -114,9 +118,10 @@ struct WranglerConfig {
   /// or `on_failure_exhausted = FailureAction::kAbort` to fail fast
   /// *with* rollback and retries. See failure_policy.h and DESIGN.md §5d.
   FailurePolicy fault_tolerance;
-  /// Parallel evaluation: thread count for scans and rule evaluation.
-  /// The default is the sequential engine (threads = 1). See DESIGN.md
-  /// §5e and README "Performance & tuning".
+  /// Parallel transducer bodies: the threads that duplicate detection,
+  /// mapping execution, quality scoring and instance matching fan out
+  /// over. Defaults to the hardware thread count; threads = 1 runs every
+  /// body inline. See DESIGN.md §5e and README "Performance & tuning".
   ParallelismOptions parallelism;
   /// Join planning for every Datalog evaluation the session runs —
   /// mapping execution, dependency scans and orchestration queries:
@@ -179,7 +184,7 @@ struct LearnedCfds {
 /// writes are a function of what it read through the KB (DESIGN.md §5n);
 /// feedback propagation is gated on the KB's feedback relation. This
 /// struct holds configuration, caches keyed on KB versions, transducer
-/// memos and counters.
+/// memos, counters and the worker pool.
 struct WranglingState {
   WranglerConfig config;
   /// Name of the target-schema relation registered in the KB.
@@ -217,6 +222,13 @@ struct WranglingState {
   /// Duplicate-detection work summed over every fusion run of the
   /// session (published as the vada_dedup_* gauges).
   DedupStats dedup_stats;
+  /// The session's one worker pool (config.parallelism.threads - 1
+  /// workers, started by the first Run; null at one thread and before
+  /// that Run). Bodies fan independent pieces out over it (DESIGN.md
+  /// §5e); a task calls no KnowledgeBase method and returns plain data,
+  /// and the calling thread does every KB read before the fan-out and
+  /// every KB write after it.
+  std::unique_ptr<ThreadPool> pool;
 };
 
 }  // namespace vada

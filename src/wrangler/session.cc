@@ -81,8 +81,6 @@ WranglingSession::WranglingSession(WranglerConfig config) {
     state_->delta_log = delta_log_.get();
   }
   registry_.SetDecorator(state_->config.transducer_decorator);
-  const size_t threads = state_->config.parallelism.threads;
-  if (threads > 1) pool_ = std::make_unique<ThreadPool>(threads - 1);
   if (obs_->metrics() != nullptr) {
     state_->snapshot_cache.SetCounters(
         obs_->metrics()->GetCounter(
@@ -97,7 +95,6 @@ WranglingSession::WranglingSession(WranglerConfig config) {
   OrchestratorOptions orch_options;
   orch_options.obs = obs_.get();
   orch_options.failure_policy = state_->config.fault_tolerance;
-  orch_options.pool = pool_.get();
   orch_options.snapshot_cache = &state_->snapshot_cache;
   orch_options.planner = state_->config.planner;
   orchestrator_ = std::make_unique<NetworkTransducer>(
@@ -236,6 +233,12 @@ Status WranglingSession::Run(OrchestrationStats* stats) {
     return Status::FailedPrecondition(
         "no target schema: call SetTargetSchema first");
   }
+  // The workers start with the first Run: a session that never runs
+  // starts none.
+  const size_t threads = state_->config.parallelism.threads;
+  if (threads > 1 && state_->pool == nullptr) {
+    state_->pool = std::make_unique<ThreadPool>(threads - 1);
+  }
   obs::MetricsRegistry* m = obs_->metrics();
   obs::Histogram* run_hist =
       m == nullptr ? nullptr
@@ -252,6 +255,16 @@ Status WranglingSession::Run(OrchestrationStats* stats) {
   if (m != nullptr) {
     m->GetCounter("vada_session_runs", "WranglingSession::Run invocations")
         ->Increment();
+    if (state_->pool != nullptr) {
+      // The pool's lifetime count, published as the delta since the
+      // previous Run.
+      const uint64_t total = state_->pool->tasks_executed();
+      m->GetCounter("vada_pool_tasks_total",
+                    "Transducer-body tasks run through the session's worker "
+                    "pool")
+          ->Increment(total - pool_tasks_published_);
+      pool_tasks_published_ = total;
+    }
     PublishKbGauges();
   }
   // A wrangle that succeeded in memory but whose WAL trail died is not a

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "common/thread_pool.h"
 #include "datalog/explain.h"
 #include "datalog/snapshot_cache.h"
 #include "kb/knowledge_base.h"
@@ -207,11 +206,10 @@ class WranglingSession {
   /// on its first call.
   mutable std::unique_ptr<KbGauges> kb_gauges_;
   TransducerRegistry registry_;
-  /// Worker pool backing config.parallelism (null when threads <= 1).
-  /// Declared before the orchestrator, which borrows raw pointers to it
-  /// and to state_->snapshot_cache, so both outlive it on destruction.
-  std::unique_ptr<ThreadPool> pool_;
   std::unique_ptr<NetworkTransducer> orchestrator_;
+  /// state_->pool's tasks_executed() already published to
+  /// vada_pool_tasks_total.
+  uint64_t pool_tasks_published_ = 0;
   bool transducers_registered_ = false;
 };
 

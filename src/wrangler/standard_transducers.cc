@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <unordered_map>
@@ -89,27 +90,41 @@ Status InstanceMatchingBody(WranglingState* state, KnowledgeBase* kb) {
   if (!target.ok()) return target.status();
   Result<DataContext> context = ReadDataContext(*kb);
   if (!context.ok()) return context.status();
-  InstanceMatcher matcher(state->config.instance_matcher);
-  std::vector<MatchCandidate> all;
+  // One task per (source, binding) pair, over relations looked up here.
+  struct MatchTask {
+    const Relation* source;
+    const Relation* instances;
+    const DataContextBinding* binding;
+  };
+  std::vector<MatchTask> tasks;
   for (const std::string& source : SourceNames(*kb)) {
     const Relation* src = kb->FindRelation(source);
     if (src == nullptr || src->empty()) continue;
     for (const DataContextBinding& binding : context.value().bindings()) {
       const Relation* ctx = kb->FindRelation(binding.context_relation);
       if (ctx == nullptr || ctx->empty()) continue;
-      std::vector<std::pair<std::string, std::string>> rename;
-      for (const ContextCorrespondence& c : binding.correspondences) {
-        rename.push_back({c.context_attribute, c.target_attribute});
-      }
-      std::vector<MatchCandidate> matches = matcher.Match(
-          *src, *ctx, target.value().relation_name(), rename);
-      for (MatchCandidate& m : matches) {
-        // Keep only candidates that land on actual target attributes.
-        if (target.value().AttributeIndex(m.target_attribute).has_value()) {
-          all.push_back(std::move(m));
-        }
+      tasks.push_back(MatchTask{src, ctx, &binding});
+    }
+  }
+  InstanceMatcher matcher(state->config.instance_matcher);
+  std::vector<std::vector<MatchCandidate>> kept(tasks.size());
+  ParallelFor(state->pool.get(), tasks.size(), [&](size_t i) {
+    std::vector<std::pair<std::string, std::string>> rename;
+    for (const ContextCorrespondence& c : tasks[i].binding->correspondences) {
+      rename.push_back({c.context_attribute, c.target_attribute});
+    }
+    for (MatchCandidate& m :
+         matcher.Match(*tasks[i].source, *tasks[i].instances,
+                       target.value().relation_name(), rename)) {
+      // Keep only candidates that land on actual target attributes.
+      if (target.value().AttributeIndex(m.target_attribute).has_value()) {
+        kept[i].push_back(std::move(m));
       }
     }
+  });
+  std::vector<MatchCandidate> all;
+  for (std::vector<MatchCandidate>& part : kept) {
+    std::move(part.begin(), part.end(), std::back_inserter(all));
   }
   return WriteMetadataRelation(
       kb, MatchesToRelation(BestPerPair(std::move(all)), "match_instance"));
@@ -166,32 +181,49 @@ Status MappingGenerationBody(WranglingState* state, KnowledgeBase* kb) {
 Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
   Result<Schema> target = TargetSchema(*kb, *state);
   if (!target.ok()) return target.status();
-  Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
-  if (!mappings.ok()) return mappings.status();
+  Result<std::vector<Mapping>> read = ReadMappings(*kb);
+  if (!read.ok()) return read.status();
+  const std::vector<Mapping>& mappings = read.value();
   MappingExecutor executor(state->config.planner);
   executor.set_snapshot_cache(&state->snapshot_cache);
-  const bool incremental =
-      state->config.incremental.enabled && state->delta_log != nullptr;
-  for (const Mapping& m : mappings.value()) {
-    Result<Relation> result =
-        incremental ? executor.ExecuteIncremental(
-                          m, target.value(), *kb, *state->delta_log,
-                          state->config.incremental.max_delta_fraction,
-                          &state->mapping_delta[m.id])
-                    : executor.Execute(m, target.value(), *kb);
-    if (!result.ok()) return result.status();
-    VADA_RETURN_IF_ERROR(
-        WriteMetadataRelation(kb, std::move(result).value()));
-  }
-  if (incremental) {
+  if (state->config.incremental.enabled && state->delta_log != nullptr) {
+    // Serial: each mapping's maintained state reads the delta log.
+    for (const Mapping& m : mappings) {
+      Result<Relation> result = executor.ExecuteIncremental(
+          m, target.value(), *kb, *state->delta_log,
+          state->config.incremental.max_delta_fraction,
+          &state->mapping_delta[m.id]);
+      if (!result.ok()) return result.status();
+      VADA_RETURN_IF_ERROR(
+          WriteMetadataRelation(kb, std::move(result).value()));
+    }
     // Drop maintained state of mappings that no longer exist.
     std::set<std::string> live;
-    for (const Mapping& m : mappings.value()) live.insert(m.id);
+    for (const Mapping& m : mappings) live.insert(m.id);
     for (auto it = state->mapping_delta.begin();
          it != state->mapping_delta.end();) {
       it = live.count(it->first) > 0 ? std::next(it)
                                      : state->mapping_delta.erase(it);
     }
+    return Status::OK();
+  }
+  // One task per mapping, over source snapshots taken here; the results
+  // become relations here too, written in mapping order.
+  std::vector<SourceSnapshots> sources;
+  for (const Mapping& m : mappings) {
+    sources.push_back(executor.Snapshots(m, *kb));
+  }
+  std::vector<Result<MappingRows>> rows(mappings.size(),
+                                        Status::Internal("not evaluated"));
+  ParallelFor(state->pool.get(), mappings.size(), [&](size_t i) {
+    rows[i] = executor.Evaluate(mappings[i], sources[i]);
+  });
+  for (size_t i = 0; i < mappings.size(); ++i) {
+    if (!rows[i].ok()) return rows[i].status();
+    Result<Relation> result = MappingExecutor::ToRelation(
+        mappings[i], target.value(), rows[i].value());
+    if (!result.ok()) return result.status();
+    VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, std::move(result).value()));
   }
   return Status::OK();
 }
@@ -221,20 +253,38 @@ Status MappingRepairBody(WranglingState* state, KnowledgeBase* kb) {
   return Status::OK();
 }
 
+/// A relation to score and the entity its metric facts name.
+using QualitySubject = std::pair<const Relation*, std::string>;
+
+/// `estimator`'s metric facts for every subject, one pool task per
+/// subject, concatenated in subject order.
+std::vector<QualityMetricFact> EstimateFacts(
+    WranglingState* state, const QualityEstimator& estimator,
+    const std::vector<QualitySubject>& subjects) {
+  std::vector<std::vector<QualityMetricFact>> parts(subjects.size());
+  ParallelFor(state->pool.get(), subjects.size(), [&](size_t i) {
+    parts[i] = estimator.EstimateFacts(*subjects[i].first, subjects[i].second);
+  });
+  std::vector<QualityMetricFact> facts;
+  for (std::vector<QualityMetricFact>& part : parts) {
+    std::move(part.begin(), part.end(), std::back_inserter(facts));
+  }
+  return facts;
+}
+
 Status QualityMetricsBody(WranglingState* state, KnowledgeBase* kb) {
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
   Result<QualityEstimator> estimator = ResultQualityEstimator(state, *kb);
   if (!estimator.ok()) return estimator.status();
-  std::vector<QualityMetricFact> facts;
+  std::vector<QualitySubject> subjects;
   for (const Mapping& m : mappings.value()) {
     const Relation* rel = EffectiveResult(*kb, m);
-    if (rel == nullptr) continue;
-    std::vector<QualityMetricFact> part =
-        estimator.value().EstimateFacts(*rel, m.id);
-    facts.insert(facts.end(), part.begin(), part.end());
+    if (rel != nullptr) subjects.emplace_back(rel, m.id);
   }
-  return WriteMetadataRelation(kb, QualityMetricsToRelation(facts));
+  return WriteMetadataRelation(
+      kb, QualityMetricsToRelation(
+              EstimateFacts(state, estimator.value(), subjects)));
 }
 
 Status SourceQualityBody(WranglingState* state, KnowledgeBase* kb) {
@@ -245,15 +295,14 @@ Status SourceQualityBody(WranglingState* state, KnowledgeBase* kb) {
   // so accuracy-vs-reference does not apply here; completeness (and
   // consistency once CFDs exist on matching attribute names) does.
   estimator.SetChecker(learned.value()->consistency_checker());
-  std::vector<QualityMetricFact> facts;
+  std::vector<QualitySubject> subjects;
   for (const std::string& source : SourceNames(*kb)) {
     const Relation* rel = kb->FindRelation(source);
-    if (rel == nullptr) continue;
-    std::vector<QualityMetricFact> part = estimator.EstimateFacts(*rel, source);
-    facts.insert(facts.end(), part.begin(), part.end());
+    if (rel != nullptr) subjects.emplace_back(rel, source);
   }
   return WriteMetadataRelation(
-      kb, QualityMetricsToRelation(facts, "source_quality"));
+      kb, QualityMetricsToRelation(EstimateFacts(state, estimator, subjects),
+                                   "source_quality"));
 }
 
 Status SourceSelectionBody(WranglingState* state, KnowledgeBase* kb) {
@@ -414,7 +463,8 @@ Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
   }
   DuplicateDetector detector(dedup);
   DedupStats dedup_stats;
-  Result<DuplicateClusters> clusters = detector.Cluster(unioned, &dedup_stats);
+  Result<DuplicateClusters> clusters =
+      detector.Cluster(unioned, &dedup_stats, state->pool.get());
   if (!clusters.ok()) return clusters.status();
   state->dedup_stats += dedup_stats;
   FusionOptions fusion_options;

@@ -5,8 +5,7 @@
 // full-scan, legacy-order path ({indexes = false, reorder = false});
 // the indexed and reordered paths must derive the same fact sets, and
 // `indexes` alone must reproduce the oracle's row order exactly (index
-// buckets keep insertion order). Each configuration's pool-backed run
-// must be bit-identical to its sequential run, stats included.
+// buckets keep insertion order).
 #include <algorithm>
 #include <map>
 #include <string>
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "datalog/database.h"
 #include "datalog/evaluator.h"
 #include "datalog/parser.h"
@@ -33,7 +31,6 @@ INSTANTIATE_TEST_SUITE_P(Shards, JoinPlannerDifferential,
 constexpr int kSeedsPerShard = 20;
 
 TEST_P(JoinPlannerDifferential, AllPlannerConfigsAgreeOnRandomPrograms) {
-  ThreadPool pool(3);
   for (int s = 0; s < kSeedsPerShard; ++s) {
     int seed = GetParam() * kSeedsPerShard + s;
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -78,12 +75,6 @@ TEST_P(JoinPlannerDifferential, AllPlannerConfigsAgreeOnRandomPrograms) {
         // order, so probing enumerates exactly what a scan would.
         EXPECT_EQ(sequential.facts, expected.facts);
       }
-      // The pool-backed run of the same config is bit-identical,
-      // stats included.
-      EvalOptions par = opts;
-      par.pool = &pool;
-      EvalOutput parallel = Evaluate(program.value(), edb, par);
-      EXPECT_TRUE(parallel == sequential);
     }
 
     // The naive-fixpoint oracle agrees on the fact set too.
@@ -98,15 +89,14 @@ TEST_P(JoinPlannerDifferential, AllPlannerConfigsAgreeOnRandomPrograms) {
 /// rewrites the program (constant folding, dead/unreachable-rule
 /// elimination, magic sets toward the goal) — but the goal-visible
 /// output must stay bit-identical to the unoptimized oracle, for every
-/// derived predicate of every random program, sequential and pool-
-/// backed. 25 shards x 20 seeds = 500 programs x 9 goals.
+/// derived predicate of every random program. 25 shards x 20 seeds =
+/// 500 programs x 9 goals.
 class OptimizerDifferential : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(Shards, OptimizerDifferential,
                          ::testing::Range(0, 25));
 
 TEST_P(OptimizerDifferential, GoalVisibleOutputIsBitIdentical) {
-  ThreadPool pool(3);
   for (int s = 0; s < kSeedsPerShard; ++s) {
     int seed = GetParam() * kSeedsPerShard + s;
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -129,14 +119,6 @@ TEST_P(OptimizerDifferential, GoalVisibleOutputIsBitIdentical) {
           Query(program.value(), &opt_db, goal, optimized);
       ASSERT_TRUE(actual.ok()) << actual.status().message();
       EXPECT_EQ(actual.value(), expected.value());
-
-      EvalOptions par = optimized;
-      par.pool = &pool;
-      Database par_db = edb;
-      Result<std::vector<Tuple>> parallel =
-          Query(program.value(), &par_db, goal, par);
-      ASSERT_TRUE(parallel.ok()) << parallel.status().message();
-      EXPECT_EQ(parallel.value(), expected.value());
     }
   }
 }
@@ -148,9 +130,8 @@ TEST_P(OptimizerDifferential, GoalVisibleOutputIsBitIdentical) {
 /// a from-scratch re-evaluation of the mutated base — through the
 /// counting, monotone, recompute and threshold-fallback paths, with
 /// negation and aggregates always present via the fixed program tail.
-/// The pool-backed maintainer must stay bit-identical to the
-/// sequential one, and a default-threshold maintainer (which crosses
-/// into full rebuild on the stream's oversized batch) must agree too.
+/// A default-threshold maintainer (which crosses into full rebuild on
+/// the stream's oversized batch) must agree too.
 /// 25 shards x 20 seeds = 500 programs.
 class IncrementalDifferential : public ::testing::TestWithParam<int> {};
 
@@ -172,7 +153,6 @@ std::map<std::string, std::vector<Tuple>> SortedFactsOf(const Database& db) {
 }
 
 TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
-  ThreadPool pool(3);
   for (int s = 0; s < kSeedsPerShard; ++s) {
     int seed = GetParam() * kSeedsPerShard + s;
     SCOPED_TRACE("seed=" + std::to_string(seed));
@@ -190,15 +170,6 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
     ASSERT_TRUE(diff.Prepare().ok());
     ASSERT_TRUE(diff.Initialize(edb).ok());
 
-    // Same options + worker pool: must be bit-identical, row order
-    // included (the full evaluations inside are pool-deterministic and
-    // the delta paths are sequential by construction).
-    DifferentialOptions par_opts = inc_opts;
-    par_opts.eval.pool = &pool;
-    DifferentialEvaluator pdiff(program.value(), par_opts);
-    ASSERT_TRUE(pdiff.Prepare().ok());
-    ASSERT_TRUE(pdiff.Initialize(edb).ok());
-
     // Default threshold: the oversized batch in every stream crosses
     // max_delta_fraction and takes the full-rebuild fallback.
     DifferentialEvaluator fdiff(program.value(), DifferentialOptions());
@@ -212,7 +183,6 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
       SCOPED_TRACE("batch=" + std::to_string(b));
       ApplyDeltaToBase(stream[b], &base);
       ASSERT_TRUE(diff.ApplyDelta(stream[b]).ok());
-      ASSERT_TRUE(pdiff.ApplyDelta(stream[b]).ok());
       ASSERT_TRUE(fdiff.ApplyDelta(stream[b]).ok());
 
       EvalOutput expected =
@@ -220,7 +190,6 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
       auto expected_sorted = expected.SortedFacts();
       EXPECT_EQ(SortedFactsOf(diff.database()), expected_sorted);
       EXPECT_EQ(SortedFactsOf(fdiff.database()), expected_sorted);
-      EXPECT_EQ(FactsOf(pdiff.database()), FactsOf(diff.database()));
     }
 
     // Stats sanity: every batch was applied, the pure-incremental
@@ -232,7 +201,6 @@ TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
     EXPECT_GT(st.strata_skipped + st.strata_counting + st.strata_monotone +
                   st.strata_recomputed,
               0u);
-    EXPECT_EQ(pdiff.lifetime_stats().full_fallbacks, 0u);
     EXPECT_GT(fdiff.lifetime_stats().full_fallbacks, 0u);
     EXPECT_NE(diff.last_plan().find("plan"), std::string::npos);
   }

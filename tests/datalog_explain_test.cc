@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/thread_pool.h"
 #include "datalog/database.h"
 #include "datalog/evaluator.h"
 #include "datalog/explain.h"
@@ -130,44 +129,6 @@ TEST(ExplainTest, AnalyzeTotalsReconcileWithEvalStatsAndMetrics) {
   }
   EXPECT_EQ(applications, stats.rule_applications);
   EXPECT_EQ(derived, stats.facts_derived);
-}
-
-// Pool-backed evaluation attributes the same per-literal work as the
-// sequential run (merge-order determinism extends to ANALYZE).
-TEST(ExplainTest, AnalyzeAttributionIsIdenticalUnderPool) {
-  auto run = [](ThreadPool* pool) {
-    EvalOptions options;
-    options.pool = pool;
-    Database db;
-    db.LoadRelation(MakeEdges("edge", 48));
-    Evaluator eval = MakeEvaluator(kTransitiveClosure, options);
-    EXPECT_TRUE(eval.Prepare().ok());
-    PlanExplain plan;
-    EXPECT_TRUE(eval.Explain(&db, &plan, /*analyze=*/true).ok());
-    return plan;
-  };
-
-  PlanExplain sequential = run(nullptr);
-  ThreadPool pool(4);
-  PlanExplain parallel = run(&pool);
-
-  ASSERT_EQ(sequential.strata.size(), parallel.strata.size());
-  for (size_t sx = 0; sx < sequential.strata.size(); ++sx) {
-    const auto& seq_rules = sequential.strata[sx].rules;
-    const auto& par_rules = parallel.strata[sx].rules;
-    ASSERT_EQ(seq_rules.size(), par_rules.size());
-    for (size_t ri = 0; ri < seq_rules.size(); ++ri) {
-      EXPECT_EQ(seq_rules[ri].facts_derived, par_rules[ri].facts_derived);
-      ASSERT_EQ(seq_rules[ri].literals.size(), par_rules[ri].literals.size());
-      for (size_t li = 0; li < seq_rules[ri].literals.size(); ++li) {
-        const LiteralRuntime& a = seq_rules[ri].literals[li].actual;
-        const LiteralRuntime& b = par_rules[ri].literals[li].actual;
-        EXPECT_EQ(a.scan_probes, b.scan_probes) << ri << "/" << li;
-        EXPECT_EQ(a.index_probes, b.index_probes) << ri << "/" << li;
-        EXPECT_EQ(a.index_candidates, b.index_candidates) << ri << "/" << li;
-      }
-    }
-  }
 }
 
 TEST(ExplainTest, NegationAndComparisonLiteralsAreAttributed) {

@@ -112,6 +112,19 @@ TEST(DocsInventoryTest, ReadmeMentionsEveryConfigKnob) {
       << joined;
 }
 
+// The knob table states each default; the parallelism row's default
+// moved from one thread to the hardware thread count and must say so.
+TEST(DocsInventoryTest, ReadmeParallelismRowStatesTheHardwareDefault) {
+  const std::string readme = ReadFile(VADA_README_MD);
+  const size_t row = readme.find("\n| `parallelism` |");
+  ASSERT_NE(row, std::string::npos) << "README knob table lost parallelism";
+  const std::string line =
+      readme.substr(row + 1, readme.find('\n', row + 1) - row - 1);
+  EXPECT_TRUE(MentionsWord(line, "hardware")) << line;
+  EXPECT_FALSE(MentionsWord(readme, "vada_orchestrator_scan_speedup"))
+      << "README documents a metric that no longer exists";
+}
+
 TEST(DocsInventoryTest, ReadmeMentionsEveryTool) {
   const std::string readme = ReadFile(VADA_README_MD);
   std::set<std::string> missing;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <map>
 #include <optional>
@@ -10,6 +11,7 @@
 
 #include "common/rng.h"
 #include "common/similarity.h"
+#include "common/thread_pool.h"
 #include "fusion/dedup.h"
 #include "fusion/fuser.h"
 
@@ -309,10 +311,55 @@ Relation RandomRelation(uint64_t seed, const RandomShape& shape) {
   return rel;
 }
 
+/// A 3-worker pool shared by the pooled arms below.
+ThreadPool& TestPool() {
+  static ThreadPool pool(3);
+  return pool;
+}
+
+/// FindDuplicates and Cluster with a 3-worker pool repeat the inline run:
+/// the same pairs in the same order with the same similarity bits, every
+/// DedupStats field, and the same clusters.
+void ExpectPooledMatchesInline(const Relation& rel, const DedupOptions& opts) {
+  DuplicateDetector detector(opts);
+  DedupStats want_stats;
+  DedupStats got_stats;
+  Result<std::vector<DuplicatePair>> want =
+      detector.FindDuplicates(rel, &want_stats);
+  Result<std::vector<DuplicatePair>> got =
+      detector.FindDuplicates(rel, &got_stats, &TestPool());
+  ASSERT_EQ(got.ok(), want.ok());
+  if (!got.ok()) return;
+  ASSERT_EQ(got.value().size(), want.value().size());
+  for (size_t i = 0; i < got.value().size(); ++i) {
+    const DuplicatePair& g = got.value()[i];
+    const DuplicatePair& w = want.value()[i];
+    EXPECT_EQ(g.row_a, w.row_a) << "pair " << i;
+    EXPECT_EQ(g.row_b, w.row_b) << "pair " << i;
+    EXPECT_EQ(std::memcmp(&g.similarity, &w.similarity, sizeof(double)), 0)
+        << "pair " << i;
+  }
+  EXPECT_EQ(got_stats.pairs_considered, want_stats.pairs_considered);
+  EXPECT_EQ(got_stats.pairs_pruned, want_stats.pairs_pruned);
+  EXPECT_EQ(got_stats.pairs_scored, want_stats.pairs_scored);
+  EXPECT_EQ(got_stats.pairs_matched, want_stats.pairs_matched);
+  EXPECT_EQ(got_stats.blocks_truncated, want_stats.blocks_truncated);
+  Result<DuplicateClusters> want_clusters = detector.Cluster(rel);
+  Result<DuplicateClusters> got_clusters =
+      detector.Cluster(rel, nullptr, &TestPool());
+  ASSERT_TRUE(want_clusters.ok());
+  ASSERT_TRUE(got_clusters.ok());
+  EXPECT_EQ(got_clusters.value().cluster_of, want_clusters.value().cluster_of);
+  EXPECT_EQ(got_clusters.value().num_clusters,
+            want_clusters.value().num_clusters);
+}
+
 /// Runs FindDuplicates and the reference sweep and compares them pair by
-/// pair, bitwise; checks the stats against the reference's counts.
-/// Returns the number of matched pairs.
+/// pair, bitwise; checks the stats against the reference's counts, and
+/// the pooled run against the inline one. Returns the number of matched
+/// pairs.
 size_t ExpectMatchesReference(const Relation& rel, const DedupOptions& opts) {
+  ExpectPooledMatchesInline(rel, opts);
   DuplicateDetector detector(opts);
   DedupStats stats;
   Result<std::vector<DuplicatePair>> got = detector.FindDuplicates(rel, &stats);
@@ -490,6 +537,41 @@ TEST(DedupDifferentialTest, FortyComparedAttributes) {
       }
     }
   }
+}
+
+// The pool arm on the shapes where a block-per-task merge could go wrong:
+// null blocking keys, blocks of one row, blocks cut short by the pair cap,
+// and unblocked input (a single task).
+TEST(DedupDifferentialTest, PooledDetectionEqualsInline) {
+  size_t matched = 0;
+  for (uint64_t seed = 600; seed < 612; ++seed) {
+    for (size_t blocks : {1u, 4u, 30u, 90u}) {
+      RandomShape shape;
+      shape.rows = 90;
+      shape.blocks = blocks;
+      shape.null_rate = 0.2;
+      Relation rel = RandomRelation(seed, shape);
+      for (size_t cap : {0u, 1u, 7u, 100000u}) {
+        SCOPED_TRACE("seed " + std::to_string(seed) + " blocks " +
+                     std::to_string(blocks) + " cap " + std::to_string(cap));
+        DedupOptions opts = BlockedOptions();
+        opts.threshold = 0.5;
+        opts.max_pairs_per_block = cap;
+        ExpectPooledMatchesInline(rel, opts);
+        // Keys from a column that is null in a fifth of the rows.
+        opts.blocking_attributes = {"name"};
+        ExpectPooledMatchesInline(rel, opts);
+        opts.blocking_attributes.clear();
+        ExpectPooledMatchesInline(rel, opts);
+        DedupStats stats;
+        Result<std::vector<DuplicatePair>> pairs =
+            DuplicateDetector(opts).FindDuplicates(rel, &stats, &TestPool());
+        ASSERT_TRUE(pairs.ok());
+        matched += stats.pairs_matched;
+      }
+    }
+  }
+  EXPECT_GT(matched, 0u);
 }
 
 TEST(DedupDifferentialTest, RecordSimilarityIsTheUnprunedScore) {

@@ -136,6 +136,13 @@ TEST(GoldenSessionTest, DemoScenarioMatchesGoldenUnderAllPlannerConfigs) {
     v.config.parallelism.threads = 4;
     variants.push_back(v);
   }
+  {
+    // The default runs bodies on the pool; one thread is the reference.
+    Variant v;
+    v.name = "threads = 1";
+    v.config.parallelism.threads = 1;
+    variants.push_back(v);
+  }
   for (const Variant& v : variants) {
     SCOPED_TRACE(v.name);
     EXPECT_EQ(RunDemoScenario(v.config), golden);

@@ -263,6 +263,17 @@ TEST(GoldenTraceTest, SchedulingDecisionsMatchGolden) {
   WranglerConfig pooled_faults = FaultConfig(injector);
   pooled_faults.parallelism = pooled.parallelism;
   EXPECT_EQ(RunScenario("faults", pooled_faults).lines, faults.lines);
+
+  // The default fans bodies out over the pool; one thread, the
+  // reference, takes every decision the same way.
+  WranglerConfig one_thread;
+  one_thread.parallelism.threads = 1;
+  ScenarioTrace plain_inline = RunScenario("plain", one_thread);
+  EXPECT_EQ(plain_inline.lines, plain.lines);
+  EXPECT_EQ(plain_inline.digest, plain.digest);
+  WranglerConfig faults_inline = FaultConfig(injector);
+  faults_inline.parallelism = one_thread.parallelism;
+  EXPECT_EQ(RunScenario("faults", faults_inline).lines, faults.lines);
 }
 
 }  // namespace

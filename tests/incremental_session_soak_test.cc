@@ -67,7 +67,8 @@ TEST(IncrementalSessionSoakTest, EventStreamMatchesFullRerunOracle) {
   FixpointAuditor inc_auditor;
   WranglerConfig inc_config;
   inc_config.incremental.enabled = true;
-  // Pool-backed, to put the delta path under the TSan job's eye too.
+  // Pool-backed: the fanned-out bodies run next to the serial delta
+  // path, under the TSan job's eye.
   inc_config.parallelism.threads = 3;
   inc_config.transducer_decorator = inc_auditor.Decorator();
   WranglingSession incremental(inc_config);
