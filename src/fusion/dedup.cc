@@ -273,7 +273,23 @@ DedupStats& DedupStats::operator+=(const DedupStats& other) {
   pairs_scored += other.pairs_scored;
   pairs_matched += other.pairs_matched;
   blocks_truncated += other.blocks_truncated;
+  blocks_scored += other.blocks_scored;
+  blocks_reused += other.blocks_reused;
   return *this;
+}
+
+void DedupMemo::Commit(Relation scored) {
+  scored_ = std::move(scored);
+  blocks_ = std::move(staged_);
+  options_ = std::move(staged_options_);
+  staged_.clear();
+  // Measured once here: the gauge that reports it is refreshed every Run.
+  bytes_ = sizeof(*this) + scored_.ApproxBytes();
+  for (const auto& [key, block] : blocks_) {
+    bytes_ += sizeof(key) + key.capacity() + sizeof(block) +
+              block.rows.capacity() * sizeof(size_t) +
+              block.pairs.capacity() * sizeof(DuplicatePair);
+  }
 }
 
 DuplicateDetector::DuplicateDetector(DedupOptions options)
@@ -291,10 +307,15 @@ double DuplicateDetector::RecordSimilarity(const Relation& rel, size_t row_a,
 }
 
 Result<std::vector<DuplicatePair>> DuplicateDetector::FindDuplicates(
-    const Relation& rel, DedupStats* stats, ThreadPool* pool) const {
+    const Relation& rel, DedupStats* stats, ThreadPool* pool,
+    DedupMemo* memo) const {
   DedupStats local;
   DedupStats& st = (stats != nullptr) ? *stats : local;
   st = DedupStats();
+  if (memo != nullptr) {
+    memo->staged_.clear();
+    memo->staged_options_ = options_;
+  }
   // Build blocks.
   std::map<std::string, std::vector<size_t>> blocks;
   if (options_.blocking_attributes.empty()) {
@@ -334,21 +355,44 @@ Result<std::vector<DuplicatePair>> DuplicateDetector::FindDuplicates(
   if (indexes.empty()) return out;
   const size_t required = std::min(options_.min_shared_fields, indexes.size());
 
-  // One task per block that holds a pair, scoring with a scorer of its
-  // own over the block's rows. Results are merged in blocking-key order,
-  // so the pairs and the stats are the same with or without a pool.
-  std::vector<const std::vector<size_t>*> paired;
-  for (const auto& [key, rows] : blocks) {
-    if (rows.size() > 1) paired.push_back(&rows);
-  }
+  // Blocks that hold a pair, in blocking-key order. A block the memo's
+  // committed call had, with the same rows in the same order, reuses its
+  // pairs; the others become one task each, scoring with a scorer of
+  // their own over the block's rows (pairs relative to the block).
+  // Results are merged in blocking-key order, so the pairs and the stats
+  // are the same with or without a pool.
   struct BlockResult {
+    const std::string* key = nullptr;
+    const std::vector<size_t>* rows = nullptr;
+    const DedupMemo::Block* reused = nullptr;
     std::vector<DuplicatePair> pairs;
     DedupStats stats;
   };
-  std::vector<BlockResult> results(paired.size());
-  ParallelFor(pool, paired.size(), [&](size_t b) {
-    const std::vector<size_t>& rows = *paired[b];
-    BlockResult& result = results[b];
+  const bool memo_applies = memo != nullptr && memo->options_ == options_ &&
+                            memo->scored_.schema() == rel.schema();
+  std::vector<BlockResult> results;
+  std::vector<size_t> scored;
+  for (const auto& [key, rows] : blocks) {
+    if (rows.size() < 2) continue;
+    BlockResult& result = results.emplace_back();
+    result.key = &key;
+    result.rows = &rows;
+    if (memo_applies) {
+      auto it = memo->blocks_.find(key);
+      if (it != memo->blocks_.end() &&
+          std::equal(rows.begin(), rows.end(), it->second.rows.begin(),
+                     it->second.rows.end(), [&](size_t now, size_t then) {
+                       return rel.rows()[now] == memo->scored_.rows()[then];
+                     })) {
+        result.reused = &it->second;
+        continue;
+      }
+    }
+    scored.push_back(results.size() - 1);
+  }
+  ParallelFor(pool, scored.size(), [&](size_t s) {
+    BlockResult& result = results[scored[s]];
+    const std::vector<size_t>& rows = *result.rows;
     PairScorer scorer(indexes, required);
     scorer.Reserve(rows.size());
     for (size_t r : rows) scorer.AddRow(rel.rows()[r]);
@@ -370,22 +414,40 @@ Result<std::vector<DuplicatePair>> DuplicateDetector::FindDuplicates(
         ++result.stats.pairs_scored;
         if (*sim >= options_.threshold) {
           ++result.stats.pairs_matched;
-          result.pairs.push_back(DuplicatePair{rows[i], rows[j], *sim});
+          result.pairs.push_back(DuplicatePair{i, j, *sim});
         }
       }
     }
     if (truncated) ++result.stats.blocks_truncated;
   });
+  DedupMemo::Blocks staged;
   for (const BlockResult& result : results) {
-    st += result.stats;
-    out.insert(out.end(), result.pairs.begin(), result.pairs.end());
+    const std::vector<DuplicatePair>& pairs =
+        result.reused != nullptr ? result.reused->pairs : result.pairs;
+    if (result.reused != nullptr) {
+      ++st.blocks_reused;
+    } else {
+      st += result.stats;
+      ++st.blocks_scored;
+    }
+    for (const DuplicatePair& p : pairs) {
+      out.push_back(DuplicatePair{(*result.rows)[p.row_a],
+                                  (*result.rows)[p.row_b], p.similarity});
+    }
+    // Copied here, on the calling thread: the memo outlives the call.
+    if (memo != nullptr) {
+      staged.emplace(*result.key, DedupMemo::Block{*result.rows, pairs});
+    }
   }
+  if (memo != nullptr) memo->staged_ = std::move(staged);
   return out;
 }
 
 Result<DuplicateClusters> DuplicateDetector::Cluster(
-    const Relation& rel, DedupStats* stats, ThreadPool* pool) const {
-  Result<std::vector<DuplicatePair>> pairs = FindDuplicates(rel, stats, pool);
+    const Relation& rel, DedupStats* stats, ThreadPool* pool,
+    DedupMemo* memo) const {
+  Result<std::vector<DuplicatePair>> pairs =
+      FindDuplicates(rel, stats, pool, memo);
   if (!pairs.ok()) return pairs.status();
   UnionFind uf(rel.size());
   for (const DuplicatePair& p : pairs.value()) {

@@ -1,6 +1,7 @@
 #ifndef VADA_FUSION_DEDUP_H_
 #define VADA_FUSION_DEDUP_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -26,6 +27,8 @@ struct DedupOptions {
   size_t min_shared_fields = 3;
   /// Hard cap on pairs examined per block (defensive on skewed blocks).
   size_t max_pairs_per_block = 100000;
+
+  bool operator==(const DedupOptions&) const = default;
 };
 
 /// A detected duplicate pair (row indexes into the relation).
@@ -45,8 +48,47 @@ struct DedupStats {
   size_t pairs_scored = 0;      ///< exact similarity computed
   size_t pairs_matched = 0;     ///< similarity at or above the threshold
   size_t blocks_truncated = 0;  ///< blocks with more pairs than the cap
+  size_t blocks_scored = 0;     ///< blocks holding a pair that were scored
+  size_t blocks_reused = 0;     ///< blocks whose pairs a DedupMemo supplied
 
   DedupStats& operator+=(const DedupStats& other);
+};
+
+/// What one FindDuplicates call leaves for the next (DESIGN.md §5p): the
+/// relation it scored and, per blocking key of a block holding a pair,
+/// the block's rows and its pairs relative to the block. A block of the
+/// next call with the same key and exactly the same rows in the same
+/// order takes those pairs instead of scoring again: a pair's similarity
+/// and a block's truncation depend only on the block's rows. Rows are
+/// compared, not hashed, against the relation the caller hands back with
+/// Commit, so nothing is copied to remember them. A reused block does no
+/// work and adds only to `blocks_reused`.
+class DedupMemo {
+ public:
+  /// Keeps `scored`, the relation the last FindDuplicates call given this
+  /// memo was run on, for the next call to compare against. Until a
+  /// commit, the next call compares against the previous one.
+  void Commit(Relation scored);
+
+  /// Approximate resident bytes of the kept relation and its blocks, as
+  /// of the last Commit.
+  size_t ApproxBytes() const { return bytes_; }
+
+ private:
+  friend class DuplicateDetector;
+
+  struct Block {
+    std::vector<size_t> rows;          ///< positions in the scored relation
+    std::vector<DuplicatePair> pairs;  ///< positions in `rows`
+  };
+  using Blocks = std::map<std::string, Block>;
+
+  DedupOptions options_;
+  Relation scored_{Schema()};
+  Blocks blocks_;  ///< describes scored_
+  DedupOptions staged_options_;
+  Blocks staged_;  ///< the last call's blocks, awaiting Commit
+  size_t bytes_ = sizeof(DedupMemo);
 };
 
 /// Clusters of mutually-duplicate rows (transitive closure of pairs).
@@ -76,15 +118,20 @@ class DuplicateDetector {
   /// threshold are rejected without scoring their string cells. With a
   /// `pool`, the blocks are scored as concurrent tasks (one per block
   /// that holds a pair); the pairs, their order and `stats` are the same
-  /// as without one.
+  /// as without one. With a `memo`, blocks unchanged since the memo's
+  /// committed call reuse its pairs, and this call's blocks are staged in
+  /// it for the caller to Commit together with `rel`; the pairs are the
+  /// same as without one.
   Result<std::vector<DuplicatePair>> FindDuplicates(
       const Relation& rel, DedupStats* stats = nullptr,
-      ThreadPool* pool = nullptr) const;
+      ThreadPool* pool = nullptr, DedupMemo* memo = nullptr) const;
 
-  /// Union-find clustering of duplicate pairs (FindDuplicates' `pool`).
+  /// Union-find clustering of duplicate pairs (FindDuplicates' `pool` and
+  /// `memo`).
   Result<DuplicateClusters> Cluster(const Relation& rel,
                                     DedupStats* stats = nullptr,
-                                    ThreadPool* pool = nullptr) const;
+                                    ThreadPool* pool = nullptr,
+                                    DedupMemo* memo = nullptr) const;
 
  private:
   DedupOptions options_;

@@ -90,6 +90,7 @@ class Catalog {
 
  private:
   friend class KnowledgeBase;
+  friend class ReadSetKey;  // compares role versions without recording
 
   void BumpRole(RelationRole role) {
     ++role_versions_[static_cast<size_t>(role)];

@@ -21,7 +21,7 @@ void KnowledgeBase::Bump(const std::string& name) {
   // already used. Version-keyed consumers — the dependency-scan
   // snapshot cache — rely on this to treat (name, version) as an
   // immutable content key.
-  versions_[name] = ++global_version_;
+  versions_[name].rows = ++global_version_;
 }
 
 void KnowledgeBase::WillMutate(const std::string& name) {
@@ -38,6 +38,7 @@ Status KnowledgeBase::CreateRelation(Schema schema) {
   WillMutate(name);
   auto emplaced = relations_.emplace(name, Relation(std::move(schema)));
   Bump(name);
+  versions_[name].schema = global_version_;
   if (durability_ != nullptr) {
     durability_->LogCreateRelation(emplaced.first->second.schema());
   }
@@ -75,6 +76,12 @@ Result<const Relation*> KnowledgeBase::GetRelation(
     return Status::NotFound("relation " + name + " not in knowledge base");
   }
   return rel;
+}
+
+const Schema* KnowledgeBase::FindSchema(const std::string& name) const {
+  TouchSchema(name);
+  auto it = relations_.find(name);
+  return it == relations_.end() ? nullptr : &it->second.schema();
 }
 
 Status KnowledgeBase::Insert(const std::string& relation_name, Tuple tuple) {
@@ -258,7 +265,13 @@ Status KnowledgeBase::ReplaceRelationIfChanged(Relation relation,
 uint64_t KnowledgeBase::relation_version(const std::string& name) const {
   Touch(name);
   auto it = versions_.find(name);
-  return it == versions_.end() ? 0 : it->second;
+  return it == versions_.end() ? 0 : it->second.rows;
+}
+
+uint64_t KnowledgeBase::schema_version(const std::string& name) const {
+  TouchSchema(name);
+  auto it = versions_.find(name);
+  return it == versions_.end() ? 0 : it->second.schema;
 }
 
 size_t KnowledgeBase::TotalRows() const {

@@ -32,9 +32,11 @@ class WriteGuard;
 /// While an access log is attached (RecordAccesses), the KB records in it
 /// every relation a caller looks up — FindRelation, GetRelation,
 /// HasRelation, relation_version, EnsureRelation — or mutates, including
-/// a ReplaceRelationIfChanged that changes nothing. RelationNames() and
-/// TotalRows() record a whole-KB read. The orchestrator keys each
-/// transducer on what its last step recorded (DESIGN.md §5n).
+/// a ReplaceRelationIfChanged that changes nothing. FindSchema and
+/// schema_version record a read of the schema alone, which row writes do
+/// not move. RelationNames() and TotalRows() record a whole-KB read. The
+/// orchestrator keys each transducer on what its last step recorded
+/// (DESIGN.md §5n).
 class KnowledgeBase {
  public:
   KnowledgeBase() = default;
@@ -61,6 +63,11 @@ class KnowledgeBase {
 
   /// Read access with error reporting.
   Result<const Relation*> GetRelation(const std::string& name) const;
+
+  /// The relation's schema; nullptr when absent. Records a schema read
+  /// (see schema_version), so a caller that needs only attribute names
+  /// is not re-run when rows change.
+  const Schema* FindSchema(const std::string& name) const;
 
   /// Inserts one tuple; bumps versions only when the tuple is new.
   Status Insert(const std::string& relation_name, Tuple tuple);
@@ -105,6 +112,12 @@ class KnowledgeBase {
   /// Version counters: 0 for unknown relations; bumped on every mutation.
   uint64_t relation_version(const std::string& name) const;
   uint64_t global_version() const { return global_version_; }
+
+  /// The version `name` was created at, 0 when absent. A relation's
+  /// schema is fixed until it is dropped (ReplaceRelation and
+  /// EnsureRelation refuse another schema), so within one version epoch
+  /// this names the schema; row writes do not move it.
+  uint64_t schema_version(const std::string& name) const;
 
   /// Incremented whenever a WriteGuard rollback rewinds the global
   /// version. Versions above the rewound point are handed out again
@@ -159,12 +172,17 @@ class KnowledgeBase {
 
  private:
   friend class WriteGuard;
+  friend class ReadSetKey;  // compares versions without recording
 
   void Bump(const std::string& name);
 
   /// Records `name` in the attached access log, if any.
   void Touch(const std::string& name) const {
     if (access_log_ != nullptr) access_log_->relations.insert(name);
+  }
+  /// Records a read of `name`'s schema alone.
+  void TouchSchema(const std::string& name) const {
+    if (access_log_ != nullptr) access_log_->schemas.insert(name);
   }
 
   /// Mutation hook: every in-place mutating method calls this with the
@@ -174,8 +192,15 @@ class KnowledgeBase {
   /// move instead (WriteGuard::OnReplace).
   void WillMutate(const std::string& name);
 
+  /// A relation's versions: `rows` moves with every mutation, `schema` is
+  /// the version the relation was created at.
+  struct Versions {
+    uint64_t rows = 0;
+    uint64_t schema = 0;
+  };
+
   std::map<std::string, Relation> relations_;
-  std::map<std::string, uint64_t> versions_;
+  std::map<std::string, Versions> versions_;
   uint64_t global_version_ = 0;
   uint64_t version_epoch_ = 0;  // never restored by a rollback
   uint64_t facts_added_ = 0;

@@ -64,7 +64,7 @@ void WriteGuard::Rollback() {
     auto saved = versions_.find(name);
     auto current = kb_->versions_.find(name);
     if (saved != versions_.end() && current != kb_->versions_.end() &&
-        saved->second == current->second) {
+        saved->second.rows == current->second.rows) {
       continue;
     }
     kb_->relations_.insert_or_assign(name, std::move(*pre_image));

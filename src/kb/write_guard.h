@@ -79,7 +79,7 @@ class WriteGuard {
   uint64_t global_version_ = 0;
   uint64_t facts_added_ = 0;
   uint64_t facts_removed_ = 0;
-  std::map<std::string, uint64_t> versions_;
+  std::map<std::string, KnowledgeBase::Versions> versions_;
   std::map<std::string, RelationRole> roles_;
   /// Pre-images of touched relations; nullopt = did not exist.
   std::map<std::string, std::optional<Relation>> touched_;

@@ -29,6 +29,7 @@
 #include "match/schema_matcher.h"
 #include "obs/obs.h"
 #include "quality/cfd.h"
+#include "quality/metrics.h"
 #include "transducer/failure_policy.h"
 #include "transducer/transducer.h"
 
@@ -178,6 +179,43 @@ struct LearnedCfds {
   }
 };
 
+/// One piece's key and what is kept for it (DESIGN.md §5p).
+template <typename Kept>
+struct CachedPiece {
+  ReadSetKey key;
+  Kept kept;
+};
+
+/// The standard bodies' piece caches (DESIGN.md §5p): per independent
+/// piece of a body, the versions of what it read, and its output where
+/// the KB does not hold it. A body runs only the pieces whose key no
+/// longer holds and reassembles the rest from here.
+struct PieceCaches {
+  /// mapping_execution, by mapping id: the mapping as evaluated (result
+  /// predicate, sources, rule text). The KB holds the result.
+  std::map<std::string, CachedPiece<std::string>> execution;
+  /// mapping_repair, by mapping id. The KB holds the repaired relation.
+  std::map<std::string, ReadSetKey> repair;
+  /// quality_metrics by mapping id, source_quality by source: the facts.
+  std::map<std::string, CachedPiece<std::vector<QualityMetricFact>>> quality;
+  std::map<std::string, CachedPiece<std::vector<QualityMetricFact>>>
+      source_quality;
+  /// instance_matching, by source, context relation and binding kind:
+  /// the candidates kept.
+  std::map<std::string, CachedPiece<std::vector<MatchCandidate>>> matching;
+  /// fusion: the previous union and its blocks' duplicate pairs.
+  DedupMemo dedup;
+
+  /// Approximate resident bytes (the vada_piece_cache_bytes gauge).
+  size_t ApproxBytes() const;
+};
+
+/// Pieces one body ran and reused (vada_body_pieces_total).
+struct PieceCounts {
+  uint64_t run = 0;
+  uint64_t reused = 0;
+};
+
 /// Mutable state shared by the standard transducers and the session that
 /// owns them. Transducer bodies take their inputs — target, sources, data
 /// context, user context, metadata — from the knowledge base, so a body's
@@ -206,6 +244,11 @@ struct WranglingState {
   /// once per version of what it is keyed on (the
   /// vada_quality_context_compiles gauge).
   uint64_t quality_context_compiles = 0;
+  /// The piece caches of mapping_execution, mapping_repair,
+  /// quality_metrics, source_quality, instance_matching and fusion.
+  PieceCaches pieces;
+  /// Pieces run and reused over the session, by transducer.
+  std::map<std::string, PieceCounts> piece_counts;
   /// The session's KB change log when config.incremental.enabled (the
   /// session owns the log and attaches it to the KB); nullptr otherwise.
   DeltaLog* delta_log = nullptr;

@@ -265,6 +265,23 @@ Status WranglingSession::Run(OrchestrationStats* stats) {
           ->Increment(total - pool_tasks_published_);
       pool_tasks_published_ = total;
     }
+    // Pieces each body ran and reused, as the delta since the previous
+    // Run.
+    for (const auto& [transducer, counts] : state_->piece_counts) {
+      PieceCounts& published = pieces_published_[transducer];
+      auto publish = [&](const char* outcome, uint64_t total,
+                         uint64_t* done) {
+        if (total == *done) return;
+        m->GetCounter("vada_body_pieces_total",
+                      "Independent pieces of transducer bodies run, or "
+                      "reused because nothing they read had moved",
+                      {{"transducer", transducer}, {"outcome", outcome}})
+            ->Increment(total - *done);
+        *done = total;
+      };
+      publish("run", counts.run, &published.run);
+      publish("reused", counts.reused, &published.reused);
+    }
     PublishKbGauges();
   }
   // A wrangle that succeeded in memory but whose WAL trail died is not a
@@ -396,6 +413,10 @@ void WranglingSession::PublishKbGauges() const {
   g.Fixed("vada_dedup_blocks_truncated",
           "Blocks cut short by max_pairs_per_block")
       ->Set(static_cast<int64_t>(dedup.blocks_truncated));
+  g.Fixed("vada_piece_cache_bytes",
+          "Approximate resident bytes of the transducer bodies' piece "
+          "caches, the retained fusion union included")
+      ->Set(static_cast<int64_t>(state_->pieces.ApproxBytes()));
   g.Fixed("vada_quality_context_compiles",
           "Compilations of the quality context (learned CFDs and their "
           "expectations), one per version of the data context")

@@ -1,6 +1,7 @@
 #ifndef VADA_WRANGLER_SESSION_H_
 #define VADA_WRANGLER_SESSION_H_
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -167,6 +168,11 @@ class WranglingSession {
   const KnowledgeBase& kb() const { return kb_; }
   const WranglingState& state() const { return *state_; }
 
+  /// Test hook: forgets every piece cache (DESIGN.md §5p), so the next
+  /// body call recomputes each piece it reaches. What the bodies write is
+  /// the same either way; tests use it to check that.
+  void DropPieceCachesForTesting() { state_->pieces = PieceCaches(); }
+
   /// The session's one snapshot cache, shared by dependency scans and
   /// mapping execution. Exposed for tests and benches that assert on
   /// hit/miss statistics.
@@ -210,6 +216,8 @@ class WranglingSession {
   /// state_->pool's tasks_executed() already published to
   /// vada_pool_tasks_total.
   uint64_t pool_tasks_published_ = 0;
+  /// state_->piece_counts already published to vada_body_pieces_total.
+  std::map<std::string, PieceCounts> pieces_published_;
   bool transducers_registered_ = false;
 };
 

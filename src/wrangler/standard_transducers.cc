@@ -23,15 +23,16 @@ std::vector<std::string> SourceNames(const KnowledgeBase& kb) {
   return kb.catalog().RelationsWithRole(RelationRole::kSource);
 }
 
+/// The target schema, read as a schema alone (KnowledgeBase::FindSchema).
 Result<Schema> TargetSchema(const KnowledgeBase& kb,
                             const WranglingState& state) {
-  Result<const Relation*> target = kb.GetRelation(state.target_relation);
-  if (!target.ok()) {
+  const Schema* target = kb.FindSchema(state.target_relation);
+  if (target == nullptr) {
     return Status::FailedPrecondition("target relation " +
                                       state.target_relation +
                                       " missing from knowledge base");
   }
-  return target.value()->schema();
+  return *target;
 }
 
 /// Reads matches from a KB relation, tolerating its absence.
@@ -50,11 +51,42 @@ Result<std::vector<Mapping>> ReadMappings(const KnowledgeBase& kb) {
 }
 
 /// The relation a mapping's consumers should read: the repaired variant
-/// when the repair transducer produced one, else the raw result.
-const Relation* EffectiveResult(const KnowledgeBase& kb, const Mapping& m) {
-  const Relation* repaired = kb.FindRelation("repaired_" + m.id);
+/// when the repair transducer produced one, else the raw result. Adds the
+/// relations it looked up to `reads`, when given.
+const Relation* EffectiveResult(const KnowledgeBase& kb, const Mapping& m,
+                                ReadSet* reads = nullptr) {
+  const std::string repaired_name = "repaired_" + m.id;
+  if (reads != nullptr) reads->relations.insert(repaired_name);
+  const Relation* repaired = kb.FindRelation(repaired_name);
   if (repaired != nullptr) return repaired;
+  if (reads != nullptr) reads->relations.insert(m.result_predicate);
   return kb.FindRelation(m.result_predicate);
+}
+
+/// Whether `cache` holds piece `id` under a key that still holds.
+/// Checking the key looks up every relation it names, so a reused piece
+/// leaves the read set its recomputation would (DESIGN.md §5p).
+template <typename Kept>
+bool Reusable(const std::map<std::string, CachedPiece<Kept>>& cache,
+              const std::string& id, const KnowledgeBase& kb) {
+  auto it = cache.find(id);
+  return it != cache.end() && it->second.key.Holds(kb);
+}
+
+/// Drops the entries of pieces not in `live`.
+template <typename Cache>
+void KeepOnly(Cache* cache, const std::set<std::string>& live) {
+  for (auto it = cache->begin(); it != cache->end();) {
+    it = live.count(it->first) > 0 ? std::next(it) : cache->erase(it);
+  }
+}
+
+/// Books `run` of `total` pieces as run and the rest as reused.
+void CountPieces(WranglingState* state, const char* transducer, size_t run,
+                 size_t total) {
+  PieceCounts& counts = state->piece_counts[transducer];
+  counts.run += run;
+  counts.reused += total - run;
 }
 
 /// Hands `rel` over to the KB (no row is copied) and marks it metadata.
@@ -76,10 +108,10 @@ Status SchemaMatchingBody(WranglingState* state, KnowledgeBase* kb) {
   SchemaMatcher matcher(state->config.schema_matcher);
   std::vector<MatchCandidate> all;
   for (const std::string& source : SourceNames(*kb)) {
-    const Relation* rel = kb->FindRelation(source);
-    if (rel == nullptr) continue;
+    const Schema* schema = kb->FindSchema(source);
+    if (schema == nullptr) continue;
     std::vector<MatchCandidate> matches =
-        matcher.Match(rel->schema(), target.value());
+        matcher.Match(*schema, target.value());
     all.insert(all.end(), matches.begin(), matches.end());
   }
   return WriteMetadataRelation(kb, MatchesToRelation(all, "match_schema"));
@@ -90,42 +122,66 @@ Status InstanceMatchingBody(WranglingState* state, KnowledgeBase* kb) {
   if (!target.ok()) return target.status();
   Result<DataContext> context = ReadDataContext(*kb);
   if (!context.ok()) return context.status();
-  // One task per (source, binding) pair, over relations looked up here.
+  // One piece per (source, binding) pair, over relations looked up here,
+  // keyed on the source, the context relation, the data context and the
+  // target schema. Only the pieces whose key no longer holds are matched.
   struct MatchTask {
+    std::string id;
     const Relation* source;
     const Relation* instances;
     const DataContextBinding* binding;
   };
+  std::map<std::string, CachedPiece<std::vector<MatchCandidate>>>& cache =
+      state->pieces.matching;
   std::vector<MatchTask> tasks;
+  std::vector<size_t> misses;
   for (const std::string& source : SourceNames(*kb)) {
     const Relation* src = kb->FindRelation(source);
     if (src == nullptr || src->empty()) continue;
     for (const DataContextBinding& binding : context.value().bindings()) {
       const Relation* ctx = kb->FindRelation(binding.context_relation);
       if (ctx == nullptr || ctx->empty()) continue;
-      tasks.push_back(MatchTask{src, ctx, &binding});
+      std::string id = source + '\x1f' + binding.context_relation + '\x1f' +
+                       RelationRoleName(binding.kind);
+      if (!Reusable(cache, id, *kb)) misses.push_back(tasks.size());
+      tasks.push_back(MatchTask{std::move(id), src, ctx, &binding});
     }
   }
   InstanceMatcher matcher(state->config.instance_matcher);
-  std::vector<std::vector<MatchCandidate>> kept(tasks.size());
-  ParallelFor(state->pool.get(), tasks.size(), [&](size_t i) {
+  std::vector<std::vector<MatchCandidate>> kept(misses.size());
+  ParallelFor(state->pool.get(), misses.size(), [&](size_t k) {
+    const MatchTask& task = tasks[misses[k]];
     std::vector<std::pair<std::string, std::string>> rename;
-    for (const ContextCorrespondence& c : tasks[i].binding->correspondences) {
+    for (const ContextCorrespondence& c : task.binding->correspondences) {
       rename.push_back({c.context_attribute, c.target_attribute});
     }
     for (MatchCandidate& m :
-         matcher.Match(*tasks[i].source, *tasks[i].instances,
+         matcher.Match(*task.source, *task.instances,
                        target.value().relation_name(), rename)) {
       // Keep only candidates that land on actual target attributes.
       if (target.value().AttributeIndex(m.target_attribute).has_value()) {
-        kept[i].push_back(std::move(m));
+        kept[k].push_back(std::move(m));
       }
     }
   });
-  std::vector<MatchCandidate> all;
-  for (std::vector<MatchCandidate>& part : kept) {
-    std::move(part.begin(), part.end(), std::back_inserter(all));
+  CountPieces(state, "instance_matching", misses.size(), tasks.size());
+  for (size_t k = 0; k < misses.size(); ++k) {
+    const MatchTask& task = tasks[misses[k]];
+    ReadSet reads;
+    reads.relations = {task.source->name(), task.instances->name(),
+                       "data_context"};
+    reads.schemas.insert(state->target_relation);
+    // Copied here, on the calling thread: the cache outlives the call.
+    cache[task.id] = {ReadSetKey(*kb, std::move(reads)), kept[k]};
   }
+  std::vector<MatchCandidate> all;
+  std::set<std::string> live;
+  for (const MatchTask& task : tasks) {
+    const std::vector<MatchCandidate>& part = cache.at(task.id).kept;
+    all.insert(all.end(), part.begin(), part.end());
+    live.insert(task.id);
+  }
+  KeepOnly(&cache, live);
   return WriteMetadataRelation(
       kb, MatchesToRelation(BestPerPair(std::move(all)), "match_instance"));
 }
@@ -168,8 +224,8 @@ Status MappingGenerationBody(WranglingState* state, KnowledgeBase* kb) {
   std::vector<Schema> sources;
   for (const std::string& name : SourceNames(*kb)) {
     if (excluded.count(name) > 0) continue;
-    const Relation* rel = kb->FindRelation(name);
-    if (rel != nullptr) sources.push_back(rel->schema());
+    const Schema* schema = kb->FindSchema(name);
+    if (schema != nullptr) sources.push_back(*schema);
   }
   MappingGenerator generator(state->config.generator);
   Result<std::vector<Mapping>> mappings =
@@ -207,24 +263,55 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
     }
     return Status::OK();
   }
-  // One task per mapping, over source snapshots taken here; the results
-  // become relations here too, written in mapping order.
-  std::vector<SourceSnapshots> sources;
-  for (const Mapping& m : mappings) {
-    sources.push_back(executor.Snapshots(m, *kb));
-  }
-  std::vector<Result<MappingRows>> rows(mappings.size(),
-                                        Status::Internal("not evaluated"));
-  ParallelFor(state->pool.get(), mappings.size(), [&](size_t i) {
-    rows[i] = executor.Evaluate(mappings[i], sources[i]);
-  });
+  // One piece per mapping, keyed on its sources, the target schema, its
+  // result and the mapping itself. The pieces whose key no longer holds
+  // are evaluated, one task each, over source snapshots taken here; their
+  // results become relations here too, written in mapping order.
+  std::map<std::string, CachedPiece<std::string>>& cache =
+      state->pieces.execution;
+  std::vector<std::string> signatures;
+  std::vector<size_t> misses;
+  std::set<std::string> live;
   for (size_t i = 0; i < mappings.size(); ++i) {
-    if (!rows[i].ok()) return rows[i].status();
-    Result<Relation> result = MappingExecutor::ToRelation(
-        mappings[i], target.value(), rows[i].value());
+    const Mapping& m = mappings[i];
+    std::string& signature = signatures.emplace_back(m.result_predicate);
+    for (const std::string& source : m.source_relations) {
+      signature += '\x1f' + source;
+    }
+    signature += '\x1f' + m.rule_text;
+    auto it = cache.find(m.id);
+    if (it == cache.end() || it->second.kept != signature ||
+        !it->second.key.Holds(*kb)) {
+      misses.push_back(i);
+    }
+    live.insert(m.id);
+  }
+  std::vector<SourceSnapshots> sources;
+  for (size_t i : misses) {
+    sources.push_back(executor.Snapshots(mappings[i], *kb));
+  }
+  std::vector<Result<MappingRows>> rows(misses.size(),
+                                        Status::Internal("not evaluated"));
+  ParallelFor(state->pool.get(), misses.size(), [&](size_t k) {
+    rows[k] = executor.Evaluate(mappings[misses[k]], sources[k]);
+  });
+  CountPieces(state, "mapping_execution", misses.size(), mappings.size());
+  for (size_t k = 0; k < misses.size(); ++k) {
+    const Mapping& m = mappings[misses[k]];
+    if (!rows[k].ok()) return rows[k].status();
+    Result<Relation> result =
+        MappingExecutor::ToRelation(m, target.value(), rows[k].value());
     if (!result.ok()) return result.status();
     VADA_RETURN_IF_ERROR(WriteMetadataRelation(kb, std::move(result).value()));
+    ReadSet reads;
+    reads.relations.insert(m.source_relations.begin(),
+                           m.source_relations.end());
+    reads.relations.insert(m.result_predicate);
+    reads.schemas.insert(state->target_relation);
+    cache[m.id] = {ReadSetKey(*kb, std::move(reads)),
+                   std::move(signatures[misses[k]])};
   }
+  KeepOnly(&cache, live);
   return Status::OK();
 }
 
@@ -239,70 +326,163 @@ Status MappingRepairBody(WranglingState* state, KnowledgeBase* kb) {
   Result<const LearnedCfds*> learned = LearnedCfdsOf(state, *kb);
   if (!learned.ok()) return learned.status();
   const CfdChecker& checker = learned.value()->checker;
-  if (checker.cfds().empty()) return Status::OK();
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
+  std::map<std::string, ReadSetKey>& cache = state->pieces.repair;
+  if (checker.cfds().empty()) {
+    // Nothing to repair against: drop the repairs of CFDs that no longer
+    // hold, so every consumer reads the raw results.
+    cache.clear();
+    for (const Mapping& m : mappings.value()) {
+      const std::string name = "repaired_" + m.id;
+      if (kb->HasRelation(name)) VADA_RETURN_IF_ERROR(kb->DropRelation(name));
+    }
+    return Status::OK();
+  }
+  // One piece per mapping result, keyed on the raw result, its repair and
+  // the relations the checker was compiled from.
+  size_t pieces = 0;
+  size_t run = 0;
+  std::set<std::string> live;
   for (const Mapping& m : mappings.value()) {
     const Relation* raw = kb->FindRelation(m.result_predicate);
     if (raw == nullptr) continue;
-    Result<Relation> repaired = checker.Repaired(*raw, "repaired_" + m.id);
+    ++pieces;
+    live.insert(m.id);
+    auto it = cache.find(m.id);
+    if (it != cache.end() && it->second.Holds(*kb)) continue;
+    ++run;
+    const std::string name = "repaired_" + m.id;
+    Result<Relation> repaired = checker.Repaired(*raw, name);
     if (!repaired.ok()) return repaired.status();
     VADA_RETURN_IF_ERROR(
         WriteMetadataRelation(kb, std::move(repaired).value()));
+    ReadSet reads = learned.value()->key.reads();
+    reads.relations.insert({m.result_predicate, name});
+    cache[m.id] = ReadSetKey(*kb, std::move(reads));
   }
+  CountPieces(state, "mapping_repair", run, pieces);
+  KeepOnly(&cache, live);
   return Status::OK();
 }
 
-/// A relation to score and the entity its metric facts name.
-using QualitySubject = std::pair<const Relation*, std::string>;
+/// A relation to score, the entity its metric facts name and what was
+/// looked up to find it.
+struct QualitySubject {
+  const Relation* relation;
+  std::string entity;
+  ReadSet reads;
+};
 
-/// `estimator`'s metric facts for every subject, one pool task per
-/// subject, concatenated in subject order.
-std::vector<QualityMetricFact> EstimateFacts(
-    WranglingState* state, const QualityEstimator& estimator,
-    const std::vector<QualitySubject>& subjects) {
-  std::vector<std::vector<QualityMetricFact>> parts(subjects.size());
-  ParallelFor(state->pool.get(), subjects.size(), [&](size_t i) {
-    parts[i] = estimator.EstimateFacts(*subjects[i].first, subjects[i].second);
-  });
-  std::vector<QualityMetricFact> facts;
-  for (std::vector<QualityMetricFact>& part : parts) {
-    std::move(part.begin(), part.end(), std::back_inserter(facts));
+/// Every subject's metric facts, in subject order. Subjects with a
+/// relation are scored, one pool task each, by the estimator
+/// `make_estimator` builds (only when there is one to score; it adds what
+/// it looked up to the ReadSet it is given, which joins each scored
+/// subject's key); the others, reused, come from `cache`. Books the
+/// pieces under `transducer` and drops the entries of subjects that no
+/// longer exist.
+template <typename MakeEstimator>
+Result<std::vector<QualityMetricFact>> ScoreSubjects(
+    WranglingState* state, const KnowledgeBase& kb, const char* transducer,
+    std::vector<QualitySubject> subjects,
+    std::map<std::string, CachedPiece<std::vector<QualityMetricFact>>>*
+        cache,
+    MakeEstimator make_estimator) {
+  std::vector<size_t> misses;
+  std::set<std::string> live;
+  for (size_t i = 0; i < subjects.size(); ++i) {
+    if (subjects[i].relation != nullptr) misses.push_back(i);
+    live.insert(subjects[i].entity);
   }
+  if (!misses.empty()) {
+    ReadSet shared;
+    Result<QualityEstimator> estimator = make_estimator(&shared);
+    if (!estimator.ok()) return estimator.status();
+    std::vector<std::vector<QualityMetricFact>> parts(misses.size());
+    ParallelFor(state->pool.get(), misses.size(), [&](size_t k) {
+      const QualitySubject& subject = subjects[misses[k]];
+      parts[k] = estimator.value().EstimateFacts(*subject.relation,
+                                                 subject.entity);
+    });
+    for (size_t k = 0; k < misses.size(); ++k) {
+      QualitySubject& subject = subjects[misses[k]];
+      subject.reads.Merge(shared);
+      // Copied here, on the calling thread: the cache outlives the call.
+      (*cache)[subject.entity] = {ReadSetKey(kb, std::move(subject.reads)),
+                                  parts[k]};
+    }
+  }
+  CountPieces(state, transducer, misses.size(), subjects.size());
+  std::vector<QualityMetricFact> facts;
+  for (const QualitySubject& subject : subjects) {
+    const std::vector<QualityMetricFact>& part = cache->at(subject.entity).kept;
+    facts.insert(facts.end(), part.begin(), part.end());
+  }
+  KeepOnly(cache, live);
   return facts;
 }
 
 Status QualityMetricsBody(WranglingState* state, KnowledgeBase* kb) {
   Result<std::vector<Mapping>> mappings = ReadMappings(*kb);
   if (!mappings.ok()) return mappings.status();
-  Result<QualityEstimator> estimator = ResultQualityEstimator(state, *kb);
-  if (!estimator.ok()) return estimator.status();
+  // One subject per mapping with a result, keyed on the result it scores
+  // (and the raw result when there is no repair) plus everything the
+  // estimator reads: the data context, its reference and master relations
+  // and the compiled CFDs. A reused subject has a null relation.
+  std::map<std::string, CachedPiece<std::vector<QualityMetricFact>>>& cache =
+      state->pieces.quality;
   std::vector<QualitySubject> subjects;
   for (const Mapping& m : mappings.value()) {
-    const Relation* rel = EffectiveResult(*kb, m);
-    if (rel != nullptr) subjects.emplace_back(rel, m.id);
+    if (Reusable(cache, m.id, *kb)) {
+      subjects.push_back({nullptr, m.id, {}});
+      continue;
+    }
+    ReadSet reads;
+    const Relation* rel = EffectiveResult(*kb, m, &reads);
+    if (rel != nullptr) subjects.push_back({rel, m.id, std::move(reads)});
   }
-  return WriteMetadataRelation(
-      kb, QualityMetricsToRelation(
-              EstimateFacts(state, estimator.value(), subjects)));
+  Result<std::vector<QualityMetricFact>> facts = ScoreSubjects(
+      state, *kb, "quality_metrics", std::move(subjects), &cache,
+      [&](ReadSet* reads) {
+        return ResultQualityEstimator(state, *kb, reads);
+      });
+  if (!facts.ok()) return facts.status();
+  return WriteMetadataRelation(kb, QualityMetricsToRelation(facts.value()));
 }
 
 Status SourceQualityBody(WranglingState* state, KnowledgeBase* kb) {
   Result<const LearnedCfds*> learned = LearnedCfdsOf(state, *kb);
   if (!learned.ok()) return learned.status();
-  QualityEstimator estimator;
-  // Source attribute names generally differ from the target vocabulary,
-  // so accuracy-vs-reference does not apply here; completeness (and
-  // consistency once CFDs exist on matching attribute names) does.
-  estimator.SetChecker(learned.value()->consistency_checker());
+  // One subject per source, keyed on the source and the relations the
+  // checker was compiled from.
+  std::map<std::string, CachedPiece<std::vector<QualityMetricFact>>>& cache =
+      state->pieces.source_quality;
   std::vector<QualitySubject> subjects;
   for (const std::string& source : SourceNames(*kb)) {
+    if (Reusable(cache, source, *kb)) {
+      subjects.push_back({nullptr, source, {}});
+      continue;
+    }
     const Relation* rel = kb->FindRelation(source);
-    if (rel != nullptr) subjects.emplace_back(rel, source);
+    ReadSet reads;
+    reads.relations.insert(source);
+    if (rel != nullptr) subjects.push_back({rel, source, std::move(reads)});
   }
+  Result<std::vector<QualityMetricFact>> facts = ScoreSubjects(
+      state, *kb, "source_quality", std::move(subjects), &cache,
+      [&](ReadSet* reads) {
+        reads->Merge(learned.value()->key.reads());
+        // Source attribute names generally differ from the target
+        // vocabulary, so accuracy-vs-reference does not apply here;
+        // completeness (and consistency once CFDs exist on matching
+        // attribute names) does.
+        QualityEstimator estimator;
+        estimator.SetChecker(learned.value()->consistency_checker());
+        return Result<QualityEstimator>(std::move(estimator));
+      });
+  if (!facts.ok()) return facts.status();
   return WriteMetadataRelation(
-      kb, QualityMetricsToRelation(EstimateFacts(state, estimator, subjects),
-                                   "source_quality"));
+      kb, QualityMetricsToRelation(facts.value(), "source_quality"));
 }
 
 Status SourceSelectionBody(WranglingState* state, KnowledgeBase* kb) {
@@ -461,18 +641,23 @@ Status FusionBody(WranglingState* state, KnowledgeBase* kb) {
       target.value().AttributeIndex("postcode").has_value()) {
     dedup.blocking_attributes = {"postcode"};
   }
+  // One piece per block: a block with the rows it had in the previous
+  // call's union reuses that call's pairs (DedupMemo).
   DuplicateDetector detector(dedup);
   DedupStats dedup_stats;
-  Result<DuplicateClusters> clusters =
-      detector.Cluster(unioned, &dedup_stats, state->pool.get());
+  Result<DuplicateClusters> clusters = detector.Cluster(
+      unioned, &dedup_stats, state->pool.get(), &state->pieces.dedup);
   if (!clusters.ok()) return clusters.status();
   state->dedup_stats += dedup_stats;
+  CountPieces(state, "fusion", dedup_stats.blocks_scored,
+              dedup_stats.blocks_scored + dedup_stats.blocks_reused);
   FusionOptions fusion_options;
   fusion_options.row_weights = std::move(row_weights);
   Fuser fuser(fusion_options);
   Result<Relation> fused =
       fuser.Fuse(unioned, clusters.value(), state->config.result_relation);
   if (!fused.ok()) return fused.status();
+  state->pieces.dedup.Commit(std::move(unioned));
 
   VADA_RETURN_IF_ERROR(kb->ReplaceRelationIfChanged(std::move(fused).value()));
   kb->catalog().SetRole(state->config.result_relation, RelationRole::kResult);
@@ -588,7 +773,7 @@ Status RegisterStandardTransducers(TransducerRegistry* registry,
 
   VADA_RETURN_IF_ERROR(registry->Add(Make(
       "mapping_repair", "repair",
-      "ready() :- sys_relation_nonempty(\"cfd\"), "
+      "ready() :- sys_relation_role(\"cfd\", \"metadata\"), "
       "sys_relation_nonempty(\"mapping\").",
       state, &MappingRepairBody)));
 
@@ -684,16 +869,23 @@ Result<const LearnedCfds*> LearnedCfdsOf(WranglingState* state,
 }
 
 Result<QualityEstimator> ResultQualityEstimator(WranglingState* state,
-                                                const KnowledgeBase& kb) {
+                                                const KnowledgeBase& kb,
+                                                ReadSet* reads) {
   Result<DataContext> context = ReadDataContext(kb);
   if (!context.ok()) return context.status();
   Result<const LearnedCfds*> learned = LearnedCfdsOf(state, kb);
   if (!learned.ok()) return learned.status();
+  ReadSet looked_up = learned.value()->key.reads();
+  looked_up.relations.insert("data_context");
+  auto find = [&](const std::string& name) {
+    looked_up.relations.insert(name);
+    return kb.FindRelation(name);
+  };
   QualityEstimator estimator;
   // Accuracy reference: the first reference binding with instances.
   for (const DataContextBinding* binding :
        context.value().BindingsOfKind(RelationRole::kReference)) {
-    const Relation* ref = kb.FindRelation(binding->context_relation);
+    const Relation* ref = find(binding->context_relation);
     if (ref != nullptr && !ref->empty()) {
       estimator.SetReference(ref, binding->correspondences);
       break;
@@ -703,13 +895,41 @@ Result<QualityEstimator> ResultQualityEstimator(WranglingState* state,
   // Relevance: the first master binding with instances.
   for (const DataContextBinding* binding :
        context.value().BindingsOfKind(RelationRole::kMaster)) {
-    const Relation* master = kb.FindRelation(binding->context_relation);
+    const Relation* master = find(binding->context_relation);
     if (master != nullptr && !master->empty()) {
       estimator.SetMaster(master, binding->correspondences);
       break;
     }
   }
+  if (reads != nullptr) reads->Merge(looked_up);
   return estimator;
+}
+
+size_t PieceCaches::ApproxBytes() const {
+  auto str = [](const std::string& s) { return sizeof(s) + s.capacity(); };
+  size_t bytes = sizeof(*this) + dedup.ApproxBytes();
+  for (const auto& [id, piece] : execution) {
+    bytes += str(id) + str(piece.kept) + piece.key.ApproxBytes();
+  }
+  for (const auto& [id, key] : repair) bytes += str(id) + key.ApproxBytes();
+  for (const auto* cache : {&quality, &source_quality}) {
+    for (const auto& [id, piece] : *cache) {
+      bytes += str(id) + piece.key.ApproxBytes();
+      for (const QualityMetricFact& f : piece.kept) {
+        bytes += str(f.entity) + str(f.metric) + str(f.subject) +
+                 sizeof(f.value);
+      }
+    }
+  }
+  for (const auto& [id, piece] : matching) {
+    bytes += str(id) + piece.key.ApproxBytes();
+    for (const MatchCandidate& m : piece.kept) {
+      bytes += str(m.source_relation) + str(m.source_attribute) +
+               str(m.target_relation) + str(m.target_attribute) +
+               str(m.matcher) + sizeof(m.score);
+    }
+  }
+  return bytes;
 }
 
 }  // namespace vada

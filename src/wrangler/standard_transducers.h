@@ -18,7 +18,7 @@ namespace vada {
 /// | mapping_generation   | mapping   | match facts exist                 |
 /// | mapping_execution    | execution | mapping facts exist               |
 /// | cfd_learning         | quality   | data-context instances exist      |
-/// | mapping_repair       | repair    | CFDs + mapping results exist      |
+/// | mapping_repair       | repair    | CFD relation + mappings exist     |
 /// | quality_metrics      | quality   | some mapping result non-empty     |
 /// | mapping_selection    | selection | mappings + quality metrics exist  |
 /// | fusion               | fusion    | selected mappings exist           |
@@ -52,9 +52,11 @@ Result<const LearnedCfds*> LearnedCfdsOf(WranglingState* state,
 /// scores every mapping result with it, and
 /// WranglingSession::EstimateResultQuality the wrangled result. It borrows
 /// the checker from `state->learned_cfds`, so use it before the next
-/// LearnedCfdsOf call, which may recompile that checker.
+/// LearnedCfdsOf call, which may recompile that checker. Adds every
+/// relation it looked up to `reads`, when given.
 Result<QualityEstimator> ResultQualityEstimator(WranglingState* state,
-                                                const KnowledgeBase& kb);
+                                                const KnowledgeBase& kb,
+                                                ReadSet* reads = nullptr);
 
 }  // namespace vada
 

@@ -85,7 +85,8 @@ TEST_F(FaultSoakTest, SeededFaultSchedulesConvergeToFaultFreeResult) {
   ASSERT_TRUE(Bootstrap(&baseline).ok());
   OrchestrationStats baseline_stats;
   ASSERT_TRUE(baseline.Run(&baseline_stats).ok());
-  EXPECT_EQ(baseline_auditor.Offenders(&baseline.kb()),
+  EXPECT_EQ(baseline_auditor.Offenders(
+                &baseline.kb(), [&] { baseline.DropPieceCachesForTesting(); }),
             std::vector<std::string>{});
   ASSERT_NE(baseline.result(), nullptr);
   const std::vector<Tuple> expected_rows = baseline.result()->rows();
@@ -112,7 +113,9 @@ TEST_F(FaultSoakTest, SeededFaultSchedulesConvergeToFaultFreeResult) {
     Status s = session.Run(&stats);
     ASSERT_TRUE(s.ok()) << "seed " << seed << ": " << s.ToString() << "\n"
                         << session.trace().ToString();
-    EXPECT_EQ(auditor.Offenders(&session.kb()), std::vector<std::string>{})
+    EXPECT_EQ(auditor.Offenders(&session.kb(),
+                                [&] { session.DropPieceCachesForTesting(); }),
+              std::vector<std::string>{})
         << "seed " << seed;
     // Exact convergence: same rows, same order, despite the faults.
     ASSERT_NE(session.result(), nullptr) << "seed " << seed;
@@ -165,7 +168,8 @@ TEST_F(FaultSoakTest, PermanentStandardTransducerFailureDegradesGracefully) {
   ASSERT_TRUE(s.ok()) << s.ToString() << "\n" << session.trace().ToString();
   // …and every transducer that did run is at its fixpoint; re-running the
   // unwrapped cfd_learning publishes the CFDs its quarantine held back.
-  EXPECT_EQ(auditor.Offenders(&session.kb()),
+  EXPECT_EQ(auditor.Offenders(&session.kb(),
+                              [&] { session.DropPieceCachesForTesting(); }),
             std::vector<std::string>{"cfd_learning"});
   // …the result is still produced…
   ASSERT_NE(session.result(), nullptr);

@@ -1,6 +1,7 @@
 #ifndef VADA_TESTS_FIXPOINT_AUDITOR_H_
 #define VADA_TESTS_FIXPOINT_AUDITOR_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,7 +24,10 @@ namespace vada {
 /// reports each one that moves the KB. It first rebuilds the sys_*
 /// control relations in full, which must move nothing: the
 /// orchestrator's shape-keyed sync (SyncControlFactsIfStale) skips only
-/// rebuilds that would have written nothing.
+/// rebuilds that would have written nothing. Given a way to drop the
+/// bodies' piece caches (DESIGN.md §5p), it drops them before each
+/// re-execution, so every piece a body would have reused is recomputed
+/// and must reproduce what the KB holds.
 class FixpointAuditor {
  public:
   /// A registry decorator that captures each transducer as it is
@@ -43,8 +47,11 @@ class FixpointAuditor {
   /// their input dependency holds, moved its global version or failed.
   /// Their writes are rolled back; other re-executions change nothing.
   /// "control facts (stale)" leads the list when the full rebuild of the
-  /// control relations changed them.
-  std::vector<std::string> Offenders(KnowledgeBase* kb) const {
+  /// control relations changed them. `drop_caches`, when given, runs
+  /// before each re-execution (WranglingSession::DropPieceCachesForTesting).
+  std::vector<std::string> Offenders(
+      KnowledgeBase* kb,
+      const std::function<void()>& drop_caches = nullptr) const {
     const uint64_t synced = kb->global_version();
     Status sync = NetworkTransducer::SyncControlFacts(kb);
     if (!sync.ok()) return {"control facts: " + sync.ToString()};
@@ -61,6 +68,7 @@ class FixpointAuditor {
         continue;
       }
       if (ready.value().empty()) continue;
+      if (drop_caches != nullptr) drop_caches();
       const uint64_t version = kb->global_version();
       WriteGuard guard(kb);
       ExecutionContext ctx;

@@ -574,6 +574,85 @@ TEST(DedupDifferentialTest, PooledDetectionEqualsInline) {
   EXPECT_GT(matched, 0u);
 }
 
+// A memo reuses exactly the blocks whose rows are unchanged and in the
+// same order, wherever they now sit: the pairs equal a detection without
+// it, bit for bit, and only the changed blocks are scored.
+TEST(DedupDifferentialTest, MemoReusesOnlyUnchangedBlocks) {
+  size_t reused = 0;
+  for (uint64_t seed = 700; seed < 712; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RandomShape shape;
+    shape.rows = 90;
+    shape.blocks = 30;
+    Relation before = RandomRelation(seed, shape);
+    // A few new rows, spread through the relation, shift every position
+    // after them and change the blocks they land in.
+    Relation extra = RandomRelation(seed + 1000, shape);
+    Relation after(before.schema());
+    for (size_t r = 0; r < before.size(); ++r) {
+      if (r % 30 == 7) {
+        ASSERT_TRUE(after.InsertUnchecked(extra.rows()[r]).ok());
+      }
+      ASSERT_TRUE(after.InsertUnchecked(before.rows()[r]).ok());
+    }
+    DedupOptions opts = BlockedOptions();
+    opts.threshold = 0.5;
+    DuplicateDetector detector(opts);
+    DedupMemo memo;
+    ASSERT_TRUE(detector.FindDuplicates(before, nullptr, nullptr, &memo).ok());
+    memo.Commit(before);
+
+    DedupStats plain;
+    Result<std::vector<DuplicatePair>> want =
+        detector.FindDuplicates(after, &plain);
+    DedupStats stats;
+    Result<std::vector<DuplicatePair>> got =
+        detector.FindDuplicates(after, &stats, &TestPool(), &memo);
+    ASSERT_TRUE(want.ok());
+    ASSERT_TRUE(got.ok());
+    ASSERT_EQ(got.value().size(), want.value().size());
+    for (size_t i = 0; i < got.value().size(); ++i) {
+      const DuplicatePair& g = got.value()[i];
+      const DuplicatePair& w = want.value()[i];
+      EXPECT_EQ(g.row_a, w.row_a) << "pair " << i;
+      EXPECT_EQ(g.row_b, w.row_b) << "pair " << i;
+      EXPECT_EQ(std::memcmp(&g.similarity, &w.similarity, sizeof(double)), 0)
+          << "pair " << i;
+    }
+    EXPECT_EQ(stats.blocks_scored + stats.blocks_reused, plain.blocks_scored);
+    // Scored: the at most 3 blocks the new rows joined, and blocks with a
+    // row that equals nothing, itself included (a NaN price).
+    std::map<std::string, std::pair<size_t, bool>> blocks;
+    for (const Tuple& row : after.rows()) {
+      if (row.at(0).is_null()) continue;
+      auto& [size, has_nan] = blocks[row.at(0).ToString()];
+      ++size;
+      has_nan = has_nan || !(row == row);
+    }
+    size_t nan_blocks = 0;
+    for (const auto& [key, block] : blocks) {
+      if (block.first > 1 && block.second) ++nan_blocks;
+    }
+    EXPECT_LE(stats.blocks_scored, 3u + nan_blocks);
+    EXPECT_LE(stats.pairs_considered, plain.pairs_considered);
+    reused += stats.blocks_reused;
+
+    // Other options reuse nothing.
+    DedupOptions looser = opts;
+    looser.threshold = 0.4;
+    DedupMemo committed;
+    ASSERT_TRUE(detector.FindDuplicates(before, nullptr, nullptr, &committed)
+                    .ok());
+    committed.Commit(before);
+    DedupStats other;
+    ASSERT_TRUE(DuplicateDetector(looser)
+                    .FindDuplicates(before, &other, nullptr, &committed)
+                    .ok());
+    EXPECT_EQ(other.blocks_reused, 0u);
+  }
+  EXPECT_GT(reused, 0u);
+}
+
 TEST(DedupDifferentialTest, RecordSimilarityIsTheUnprunedScore) {
   for (uint64_t seed = 500; seed < 504; ++seed) {
     Relation rel = RandomRelation(seed, RandomShape());

@@ -73,7 +73,9 @@ std::vector<std::string> RunDemoScenario(const WranglerConfig& config) {
   EXPECT_TRUE(session.AddSource(ExtractRightmove(truth, rm_err)).ok());
   EXPECT_TRUE(session.AddSource(ExtractOnthemarket(truth, otm_err)).ok());
   EXPECT_TRUE(session.Run().ok());
-  EXPECT_EQ(auditor.Offenders(&session.kb()), std::vector<std::string>{});
+  EXPECT_EQ(auditor.Offenders(&session.kb(),
+                              [&] { session.DropPieceCachesForTesting(); }),
+            std::vector<std::string>{});
   EXPECT_NE(session.result(), nullptr);
   if (session.result() == nullptr) return {};
   return Canonicalize(*session.result());

@@ -148,12 +148,15 @@ TEST(IncrementalSessionSoakTest, EventStreamMatchesFullRerunOracle) {
     }
     Status si = incremental.Run();
     ASSERT_TRUE(si.ok()) << "round " << round << ": " << si.ToString();
-    EXPECT_EQ(inc_auditor.Offenders(&incremental.kb()),
+    EXPECT_EQ(inc_auditor.Offenders(
+                  &incremental.kb(),
+                  [&] { incremental.DropPieceCachesForTesting(); }),
               std::vector<std::string>{})
         << "round " << round;
     Status so = oracle.Run();
     ASSERT_TRUE(so.ok()) << "round " << round << ": " << so.ToString();
-    EXPECT_EQ(oracle_auditor.Offenders(&oracle.kb()),
+    EXPECT_EQ(oracle_auditor.Offenders(
+                  &oracle.kb(), [&] { oracle.DropPieceCachesForTesting(); }),
               std::vector<std::string>{})
         << "round " << round;
     EXPECT_EQ(Canonical(incremental.result()), Canonical(oracle.result()))

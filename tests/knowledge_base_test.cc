@@ -345,6 +345,68 @@ TEST(ReadSetKeyTest, HoldsUntilARecordedRelationOrRoleMoves) {
   EXPECT_EQ(log.roles, reads.roles);
 }
 
+TEST(ReadSetKeyTest, MissRecordsNothing) {
+  KnowledgeBase kb;
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("a", {"x"})).ok());
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("b", {"x"})).ok());
+  ReadSet reads;
+  reads.relations = {"a", "b"};
+  reads.schemas = {"s"};
+  const ReadSetKey key(kb, reads);
+  // "a" still matches and is checked before "b", which moved: a failed
+  // check leaves nothing in the log, so a recomputation that no longer
+  // reads "a" is keyed on exactly what it reads.
+  ASSERT_TRUE(kb.Assert("b", {Value::Int(1)}).ok());
+  ReadSet log;
+  kb.RecordAccesses(&log);
+  EXPECT_FALSE(key.Holds(kb));
+  kb.RecordAccesses(nullptr);
+  EXPECT_TRUE(log.relations.empty());
+  EXPECT_TRUE(log.schemas.empty());
+}
+
+TEST(ReadSetKeyTest, SchemaVersionMovesOnlyWithTheSchema) {
+  KnowledgeBase kb;
+  EXPECT_EQ(kb.schema_version("r"), 0u);
+  EXPECT_EQ(kb.FindSchema("r"), nullptr);
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("r", {"a", "b"})).ok());
+  const uint64_t created = kb.schema_version("r");
+  EXPECT_GT(created, 0u);
+  ReadSet reads;
+  reads.schemas = {"r"};
+  const ReadSetKey key(kb, reads);
+
+  // Rows move the relation's version, not its schema's.
+  ASSERT_TRUE(kb.Assert("r", {Value::Int(1), Value::Int(2)}).ok());
+  EXPECT_EQ(kb.schema_version("r"), created);
+  EXPECT_TRUE(key.Holds(kb));
+  ReadSet log;
+  kb.RecordAccesses(&log);
+  const Schema* schema = kb.FindSchema("r");
+  kb.RecordAccesses(nullptr);
+  ASSERT_NE(schema, nullptr);
+  EXPECT_EQ(schema->arity(), 2u);
+  EXPECT_TRUE(log.relations.empty());
+  EXPECT_EQ(log.schemas, std::set<std::string>{"r"});
+
+  // A rolled-back drop and re-creation under another schema restores the
+  // creation version with the schema; a real one moves it.
+  {
+    WriteGuard guard(&kb);
+    ASSERT_TRUE(kb.DropRelation("r").ok());
+    ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("r", {"c"})).ok());
+    EXPECT_NE(kb.schema_version("r"), created);
+    guard.Rollback();
+  }
+  EXPECT_EQ(kb.schema_version("r"), created);
+  EXPECT_EQ(kb.FindSchema("r")->arity(), 2u);
+  ASSERT_TRUE(kb.DropRelation("r").ok());
+  EXPECT_EQ(kb.schema_version("r"), 0u);
+  EXPECT_FALSE(key.Holds(kb));
+  ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("r", {"c"})).ok());
+  EXPECT_GT(kb.schema_version("r"), created);
+}
+
 TEST(ReadSetKeyTest, RolledBackRoleChangeMovesTheRoleVersion) {
   KnowledgeBase kb;
   ASSERT_TRUE(kb.CreateRelation(Schema::Untyped("r", {"a"})).ok());
