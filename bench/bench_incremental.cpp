@@ -1,300 +1,54 @@
-// Experiment I1 (extension beyond the paper): delta-driven differential
-// maintenance (DESIGN.md §5k) against from-scratch re-evaluation on
-// streaming update workloads.
-//
-// I1a is the acceptance row: a mapping-shaped join over ~2.5k source
-// rows absorbs a stream of 10,000 feedback-sized events (single-row
-// inserts, occasional retracts, periodic 50-row bursts). The
-// incremental engine must do at least 10x less join work (join_probes +
-// index_probes + index_candidates, the machine-independent measure
-// bench_join_planner established) than re-running the evaluation per
-// event. Exit status enforces the gate.
-//
-// I1b streams insert-only edges into a recursive reachability program —
-// the monotone continuation path. I1c replays source-batch events
-// through two full WranglingSessions, incremental on vs off, reporting
-// end-to-end wall time and the vada_delta_* gauge totals
-// (informational, no gate: the session also spends time in
-// matching/fusion, which deltas do not touch).
-#include <algorithm>
+// Experiment I1 (extension beyond the paper): the pay-as-you-go event
+// stream. Source batches trickle into one WranglingSession; after each
+// batch the session refreshes, re-running only the steps and pieces
+// whose inputs moved (DESIGN.md §5n, §5p). Reports the wall time of the
+// bootstrap plus 30 refreshes and the result rows; exits 1 if the
+// session fails.
 #include <cstdio>
 #include <string>
-#include <vector>
 
 #include "bench/bench_util.h"
-#include "common/rng.h"
-#include "datalog/differential.h"
-#include "datalog/evaluator.h"
-#include "datalog/parser.h"
 #include "wrangler/session.h"
 
-namespace {
-
-using namespace vada;
-using namespace vada::bench;
-using datalog::Database;
-using datalog::DeltaStats;
-using datalog::DifferentialEvaluator;
-using datalog::DifferentialOptions;
-using datalog::EvalOptions;
-using datalog::EvalStats;
-using datalog::Evaluator;
-using datalog::Parser;
-using datalog::Program;
-using datalog::RelationDelta;
-
-size_t Work(const EvalStats& s) {
-  return s.join_probes + s.index_probes + s.index_candidates;
-}
-
-Tuple Listing(int64_t id, int64_t n, int64_t p) {
-  return Tuple({Value::Int(id), Value::Int(n), Value::Int(p)});
-}
-
-/// One full from-scratch evaluation of `program` over `base`; returns
-/// join work, adds wall time to *ms.
-size_t FullRun(const Program& program, const Database& base, double* ms) {
-  Database db = base;
-  Evaluator eval(program);
-  if (!eval.Prepare().ok()) return 0;
-  EvalStats stats;
-  *ms += TimeMs([&] { (void)eval.Run(&db, &stats); });
-  return Work(stats);
-}
-
-}  // namespace
-
 int main() {
-  std::printf("I1: differential maintenance vs from-scratch re-evaluation\n\n");
+  using namespace vada;
+  using namespace vada::bench;
+  std::printf("I1: pay-as-you-go session stream\n\n");
   BenchReport report("incremental");
-  Table table({"workload", "events", "full work", "delta work",
-               "work reduction", "full ms", "delta ms"});
 
-  // ---------------------------------------------------------------
-  // I1a (gate >= 10x): mapping-shaped join, 10k-event update stream.
-  // ---------------------------------------------------------------
-  const int kEvents = 10000;
-  Result<Program> join_program = Parser::Parse(
-      "result(N, P, C) :- listing(Id, N, P), crime(N, C).");
-  if (!join_program.ok()) {
-    std::fprintf(stderr, "parse: %s\n",
-                 join_program.status().ToString().c_str());
-    return 1;
+  const int kBatches = 30;
+  Scenario sc = MakeScenario(4000, 300, 40);
+  WranglerConfig config;
+  WranglingSession session(config);
+  Status s = session.SetTargetSchema(PaperTargetSchema());
+  if (s.ok()) s = session.AddSource(sc.rightmove);
+  if (s.ok()) s = session.AddSource(sc.onthemarket);
+  if (s.ok()) s = session.AddSource(sc.deprivation);
+  if (s.ok()) {
+    s = session.AddDataContext(sc.address, RelationRole::kReference,
+                               {{"street", "street"},
+                                {"postcode", "postcode"}});
   }
-  Rng rng(7);
-  Database base;
-  std::vector<Tuple> live;
-  for (int i = 0; i < 2000; ++i) {
-    Tuple t = Listing(i, rng.UniformInt(0, 400), rng.UniformInt(50, 900));
-    base.Insert("listing", t);
-    live.push_back(t);
-  }
-  for (int n = 0; n <= 400; ++n) {
-    base.Insert("crime", Tuple({Value::Int(n), Value::Int(rng.UniformInt(1, 10))}));
-  }
-
-  // Pre-generate the event stream so both paths replay the identical
-  // updates: mostly single inserts, 10% retracts of live rows, a 50-row
-  // burst every 500 events (still under the fallback threshold).
-  std::vector<RelationDelta> events;
-  events.reserve(kEvents);
-  int64_t next_id = 1'000'000;
-  {
-    std::vector<Tuple> shadow = live;
-    for (int e = 0; e < kEvents; ++e) {
-      RelationDelta delta;
-      datalog::DeltaRows& rows = delta["listing"];
-      if (e > 0 && e % 500 == 0) {
-        for (int i = 0; i < 50; ++i) {
-          Tuple t = Listing(next_id++, rng.UniformInt(0, 400),
-                            rng.UniformInt(50, 900));
-          rows.inserts.push_back(t);
-          shadow.push_back(t);
-        }
-      } else if (!shadow.empty() && rng.Bernoulli(0.1)) {
-        size_t idx = rng.UniformInt(0, shadow.size() - 1);
-        rows.retracts.push_back(shadow[idx]);
-        shadow[idx] = shadow.back();
-        shadow.pop_back();
-      } else {
-        Tuple t = Listing(next_id++, rng.UniformInt(0, 400),
-                          rng.UniformInt(50, 900));
-        rows.inserts.push_back(t);
-        shadow.push_back(t);
-      }
-      events.push_back(std::move(delta));
-    }
-  }
-
-  DifferentialEvaluator diff(join_program.value());
-  if (!diff.Prepare().ok() || !diff.Initialize(base).ok()) {
-    std::fprintf(stderr, "differential init failed\n");
-    return 1;
-  }
-  size_t delta_work = 0;
-  double delta_ms = 0;
-  size_t full_work = 0;
-  double full_ms = 0;
-  {
-    // Replay, keeping `base` equal to the post-event database for the
-    // from-scratch path. Database has no retract, so retract events
-    // rebuild it from the mirrored listing rows (rebuild cost is not
-    // part of either engine's measured work).
-    std::vector<Tuple> listings = live;
-    Database crime_only;
-    for (const Tuple& t : base.facts("crime")) crime_only.Insert("crime", t);
-    for (const RelationDelta& delta : events) {
-      DeltaStats st;
-      double ms = TimeMs([&] { (void)diff.ApplyDelta(delta, &st); });
-      delta_ms += ms;
-      delta_work += Work(st.eval);
-      bool retracted = false;
-      for (const auto& [pred, rows] : delta) {
-        for (const Tuple& t : rows.inserts) {
-          listings.push_back(t);
-          base.Insert(pred, t);
-        }
-        for (const Tuple& t : rows.retracts) {
-          retracted = true;
-          listings.erase(std::find(listings.begin(), listings.end(), t));
-        }
-      }
-      if (retracted) {
-        base = crime_only;
-        for (const Tuple& t : listings) base.Insert("listing", t);
-      }
-      full_work += FullRun(join_program.value(), base, &full_ms);
-    }
-  }
-  double reduction =
-      delta_work > 0 ? static_cast<double>(full_work) / delta_work : 0.0;
-  size_t diff_rows = diff.database().FactCount("result");
-  Database check = base;
-  Evaluator check_eval(join_program.value());
-  (void)check_eval.Prepare();
-  (void)check_eval.Run(&check);
-  if (check.FactCount("result") != diff_rows) {
-    std::fprintf(stderr, "I1a: RESULT MISMATCH %zu vs %zu\n",
-                 check.FactCount("result"), diff_rows);
-    return 1;
-  }
-  table.AddRow({"mapping_join_10k", std::to_string(kEvents),
-                std::to_string(full_work), std::to_string(delta_work),
-                Fmt(reduction, 1) + "x", Fmt(full_ms, 0), Fmt(delta_ms, 0)});
-  report.Add("mapping_join_10k_events", kEvents);
-  report.Add("mapping_join_10k_full_work", static_cast<double>(full_work));
-  report.Add("mapping_join_10k_delta_work", static_cast<double>(delta_work));
-  report.Add("mapping_join_10k_work_reduction", reduction);
-  report.Add("mapping_join_10k_full_ms", full_ms);
-  report.Add("mapping_join_10k_delta_ms", delta_ms);
-  report.Add("mapping_join_10k_full_fallbacks",
-             static_cast<double>(diff.lifetime_stats().full_fallbacks));
-
-  // ---------------------------------------------------------------
-  // I1b: recursive reachability, insert-only stream (monotone path).
-  // ---------------------------------------------------------------
-  Result<Program> reach_program = Parser::Parse(
-      "reach(X) :- src(X).\n"
-      "reach(Y) :- reach(X), edge(X, Y).\n");
-  if (!reach_program.ok()) return 1;
-  Database rbase;
-  rbase.Insert("src", Tuple({Value::Int(0)}));
-  for (int i = 0; i < 1000; ++i) {
-    rbase.Insert("edge", Tuple({Value::Int(i), Value::Int(i + 1)}));
-  }
-  DifferentialEvaluator rdiff(reach_program.value());
-  (void)rdiff.Prepare();
-  (void)rdiff.Initialize(rbase);
-  size_t rdelta_work = 0, rfull_work = 0;
-  double rdelta_ms = 0, rfull_ms = 0;
-  const int kEdgeEvents = 1000;
-  for (int e = 0; e < kEdgeEvents; ++e) {
-    RelationDelta delta;
-    delta["edge"].inserts.push_back(
-        Tuple({Value::Int(1000 + e), Value::Int(1001 + e)}));
-    DeltaStats st;
-    rdelta_ms += TimeMs([&] { (void)rdiff.ApplyDelta(delta, &st); });
-    rdelta_work += Work(st.eval);
-    rbase.Insert("edge", Tuple({Value::Int(1000 + e), Value::Int(1001 + e)}));
-    rfull_work += FullRun(reach_program.value(), rbase, &rfull_ms);
-  }
-  double rreduction =
-      rdelta_work > 0 ? static_cast<double>(rfull_work) / rdelta_work : 0.0;
-  table.AddRow({"reach_chain_1k", std::to_string(kEdgeEvents),
-                std::to_string(rfull_work), std::to_string(rdelta_work),
-                Fmt(rreduction, 1) + "x", Fmt(rfull_ms, 0),
-                Fmt(rdelta_ms, 0)});
-  report.Add("reach_chain_1k_full_work", static_cast<double>(rfull_work));
-  report.Add("reach_chain_1k_delta_work", static_cast<double>(rdelta_work));
-  report.Add("reach_chain_1k_work_reduction", rreduction);
-
-  // ---------------------------------------------------------------
-  // I1c (informational): full sessions, source batches trickling in.
-  // The session's vada_datalog_* families only count the wrangle
-  // pipeline's own programs (mapping execution reports no EvalStats on
-  // either path), so this row compares wall time and reports the
-  // incremental session's vada_delta_* gauges.
-  // ---------------------------------------------------------------
-  size_t sdelta_applies = 0, sdelta_reinits = 0;
-  size_t sfull_rows = 0, sdelta_rows = 0;
-  auto run_session = [&](bool incremental, size_t* rows) {
-    Scenario sc = MakeScenario(4000, 300, 40);
-    WranglerConfig config;
-    config.incremental.enabled = incremental;
-    WranglingSession session(config);
-    Status s = session.SetTargetSchema(PaperTargetSchema());
-    if (s.ok()) s = session.AddSource(sc.rightmove);
-    if (s.ok()) s = session.AddSource(sc.onthemarket);
-    if (s.ok()) s = session.AddSource(sc.deprivation);
-    if (s.ok()) {
-      s = session.AddDataContext(sc.address, RelationRole::kReference,
-                                 {{"street", "street"},
-                                  {"postcode", "postcode"}});
-    }
-    double ms = TimeMs([&] {
+  double ms = TimeMs([&] {
+    if (s.ok()) s = session.Run();
+    for (uint64_t e = 0; s.ok() && e < kBatches; ++e) {
+      Scenario more = MakeScenario(5000 + e, 2, 2);
+      s = session.AddSource(more.rightmove);
       if (s.ok()) s = session.Run();
-      for (uint64_t e = 0; s.ok() && e < 30; ++e) {
-        Scenario more = MakeScenario(5000 + e, 2, 2);
-        s = session.AddSource(more.rightmove);
-        if (s.ok()) s = session.Run();
-      }
-    });
-    if (!s.ok()) {
-      std::fprintf(stderr, "session: %s\n", s.ToString().c_str());
-      return 0.0;
     }
-    if (incremental) {
-      obs::MetricsSnapshot snap = session.MetricsReport().snapshot;
-      sdelta_applies = static_cast<size_t>(snap.Value("vada_delta_applies"));
-      sdelta_reinits =
-          static_cast<size_t>(snap.Value("vada_delta_full_reinits"));
-    }
-    *rows = session.result() != nullptr ? session.result()->size() : 0;
-    return ms;
-  };
-  double sfull_ms = run_session(false, &sfull_rows);
-  double sdelta_ms = run_session(true, &sdelta_rows);
-  if (sfull_rows != sdelta_rows) {
-    std::fprintf(stderr, "I1c: RESULT MISMATCH %zu vs %zu rows\n", sfull_rows,
-                 sdelta_rows);
+  });
+  if (!s.ok()) {
+    std::fprintf(stderr, "session: %s\n", s.ToString().c_str());
     return 1;
   }
-  table.AddRow({"session_30_batches", "30", "-", "-", "-", Fmt(sfull_ms, 0),
-                Fmt(sdelta_ms, 0)});
-  report.Add("session_30_batches_full_ms", sfull_ms);
-  report.Add("session_30_batches_delta_ms", sdelta_ms);
-  report.Add("session_30_batches_delta_applies",
-             static_cast<double>(sdelta_applies));
-  report.Add("session_30_batches_full_reinits",
-             static_cast<double>(sdelta_reinits));
+  size_t rows = session.result() != nullptr ? session.result()->size() : 0;
 
+  Table table({"workload", "batches", "ms", "result rows"});
+  table.AddRow({"session_30_batches", std::to_string(kBatches), Fmt(ms, 0),
+                std::to_string(rows)});
   table.Print();
-  std::printf("\nsession_30_batches: %zu delta applies, %zu full re-inits "
-              "across 31 incremental runs\n",
-              sdelta_applies, sdelta_reinits);
-  std::printf("mapping_join_10k join-work reduction: %.1fx "
-              "(target >= 10x)\n",
-              reduction);
+  report.Add("session_30_batches_ms", ms);
+  report.Add("session_30_batches_result_rows", static_cast<double>(rows));
   report.WriteJson();
-  return reduction >= 10.0 ? 0 : 1;
+  return 0;
 }

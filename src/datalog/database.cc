@@ -300,15 +300,6 @@ std::vector<std::string> Database::Predicates() const {
   return out;
 }
 
-void Database::ResetPredicate(const std::string& predicate) {
-  stores_.erase(predicate);
-  shared_.erase(predicate);
-  if (index_cache_ != nullptr) {
-    MutexLock lock(index_cache_->mutex);
-    if (!index_cache_->entries.empty()) index_cache_->entries.erase(predicate);
-  }
-}
-
 void Database::Clear() {
   stores_.clear();
   shared_.clear();

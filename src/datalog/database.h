@@ -170,12 +170,6 @@ class Database {
   /// Known predicate names (owned and borrowed), sorted.
   std::vector<std::string> Predicates() const;
 
-  /// Forgets `predicate` entirely — owned store, borrowed view and
-  /// composite indexes — so it can be rebuilt from scratch (the
-  /// differential evaluator's retract path: deletion is rebuild, the
-  /// columnar store has no row removal). No-op when unknown.
-  void ResetPredicate(const std::string& predicate);
-
   void Clear();
 
  private:

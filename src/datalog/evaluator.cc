@@ -174,8 +174,7 @@ class RuleCompiler {
                const PlannerOptions& planner)
       : stratum_preds_(stratum_preds), db_(db), planner_(planner) {}
 
-  /// `lead` (a body index, or kNoLead) is the first atom placed.
-  CompiledRule Compile(const Rule& rule, size_t lead = kNoLead) {
+  CompiledRule Compile(const Rule& rule) {
     CompiledRule out;
     out.text = rule.ToString();
     out.source = &rule;
@@ -185,8 +184,7 @@ class RuleCompiler {
     // estimated selectivity (or, without `reorder`, by bound-term
     // count — the legacy heuristic).
     std::vector<LiteralPlan> plan;
-    std::vector<size_t> order =
-        PlanBodyOrder(rule, db_, planner_, &plan, lead);
+    std::vector<size_t> order = PlanBodyOrder(rule, db_, planner_, &plan);
 
     // Compile in execution order, tracking which slots are bound when
     // each literal starts — that static set is exactly the runtime
@@ -383,8 +381,7 @@ struct JoinWork {
 /// Evaluates one compiled rule body, invoking `on_solution` for every
 /// complete binding. `sources[i]` is the database compiled body literal
 /// i reads (atoms range over it, negations check it): semi-naive points
-/// one atom at the round's delta (DeltaSources), a counting sweep gives
-/// every atom occurrence its own (Evaluator::Sweep).
+/// one atom at the round's delta (DeltaSources).
 class RuleExecutor {
  public:
   RuleExecutor(const CompiledRule& rule, std::vector<const Database*> sources,
@@ -948,150 +945,6 @@ Status Evaluator::Prepare() {
 Status Evaluator::Run(Database* db, EvalStats* stats,
                       Provenance* provenance) {
   return RunInternal(db, stats, provenance, nullptr);
-}
-
-Status Evaluator::RunIncrement(Database* db, const Database& delta,
-                               EvalStats* stats, Database* added) {
-  if (!prepared_) {
-    return Status::FailedPrecondition("Evaluator::Prepare() was not called");
-  }
-  for (const Rule& r : program_.rules) {
-    if (r.HasAggregates()) {
-      return Status::FailedPrecondition(
-          "RunIncrement does not maintain aggregates: " + r.ToString());
-    }
-    for (const Literal& l : r.body) {
-      if (l.kind == Literal::Kind::kNegatedAtom) {
-        return Status::FailedPrecondition(
-            "RunIncrement does not maintain negation: " + r.ToString());
-      }
-    }
-  }
-  EvalStats local_stats;
-  EvalStats* st = (stats != nullptr) ? stats : &local_stats;
-
-  // Compile every rule once. Unlike RunInternal, *every* positive body
-  // atom is a candidate delta occurrence — the insertions may touch any
-  // predicate, not just same-stratum ones — so the stratum-predicate
-  // set only drives the (here unused) recursion flag.
-  std::set<std::string> head_preds;
-  for (const Rule& r : program_.rules) head_preds.insert(r.head.predicate);
-  std::vector<CompiledRule> rules;
-  std::vector<std::vector<size_t>> atom_positions;
-  rules.reserve(program_.rules.size());
-  for (const Rule& r : program_.rules) {
-    RuleCompiler compiler(head_preds, db, options_.planner);
-    rules.push_back(compiler.Compile(r));
-    std::vector<size_t> positions;
-    for (size_t i = 0; i < rules.back().body.size(); ++i) {
-      if (rules.back().body[i].kind == Literal::Kind::kAtom) {
-        positions.push_back(i);
-      }
-    }
-    atom_positions.push_back(std::move(positions));
-  }
-
-  // Any new derivation uses at least one delta fact; restricting one
-  // occurrence at a time to the delta (others read the already-updated
-  // db) enumerates each at least once, and InsertIds dedups overlap.
-  const Database* current = &delta;
-  Database next_delta;
-  for (size_t iter = 0; iter < options_.max_iterations; ++iter) {
-    if (current->TotalFacts() == 0) break;
-    ++st->iterations;
-    Database produced;
-    for (size_t ri = 0; ri < rules.size(); ++ri) {
-      const CompiledRule& rule = rules[ri];
-      size_t head_arity = rule.head.terms.size();
-      for (size_t pos : atom_positions[ri]) {
-        if (current->FactCount(rule.body[pos].atom.predicate) == 0) continue;
-        ++st->rule_applications;
-        ProducedRows out;
-        JoinWork work;
-        EvaluateRule(rule, *db, current, pos, options_.planner, &out, nullptr,
-                     &work, nullptr);
-        work.MergeInto(st);
-        for (size_t i = 0; i < out.rows; ++i) {
-          const SymbolId* row = out.ids.data() + i * head_arity;
-          if (db->InsertIds(rule.head.predicate, row, head_arity)) {
-            ++st->facts_derived;
-            produced.InsertIds(rule.head.predicate, row, head_arity);
-            if (added != nullptr) {
-              added->InsertIds(rule.head.predicate, row, head_arity);
-            }
-          }
-        }
-      }
-    }
-    next_delta = std::move(produced);
-    current = &next_delta;
-    if (iter + 1 == options_.max_iterations && current->TotalFacts() != 0) {
-      return Status::ResourceExhausted(
-          "incremental evaluation exceeded max_iterations");
-    }
-  }
-  return Status::OK();
-}
-
-Status Evaluator::Sweep(size_t rule_index,
-                        const std::vector<const Database*>& atom_sources,
-                        size_t lead, const Database& plan_db,
-                        EvalStats* stats, const HeadSink& emit) const {
-  if (!prepared_) {
-    return Status::FailedPrecondition("Evaluator::Prepare() was not called");
-  }
-  if (rule_index >= program_.rules.size()) {
-    return Status::InvalidArgument("Sweep rule index out of range");
-  }
-  const Rule& rule = program_.rules[rule_index];
-  if (rule.HasAggregates() ||
-      std::any_of(rule.body.begin(), rule.body.end(), [](const Literal& l) {
-        return l.kind == Literal::Kind::kNegatedAtom;
-      })) {
-    return Status::FailedPrecondition(
-        "Sweep does not evaluate negation or aggregates: " + rule.ToString());
-  }
-  // Declared body index <-> positive-atom occurrence number.
-  std::vector<size_t> occurrence(rule.body.size());
-  std::vector<size_t> atom_body_index;
-  for (size_t i = 0; i < rule.body.size(); ++i) {
-    if (rule.body[i].kind != Literal::Kind::kAtom) continue;
-    occurrence[i] = atom_body_index.size();
-    atom_body_index.push_back(i);
-  }
-  if (atom_sources.size() != atom_body_index.size() ||
-      std::count(atom_sources.begin(), atom_sources.end(), nullptr) > 0 ||
-      (lead != kNoLead && lead >= atom_body_index.size())) {
-    return Status::InvalidArgument(
-        "Sweep needs one source per positive body atom and a valid lead: " +
-        rule.ToString());
-  }
-
-  const std::set<std::string> no_recursion;
-  RuleCompiler compiler(no_recursion, &plan_db, options_.planner);
-  CompiledRule compiled = compiler.Compile(
-      rule, lead == kNoLead ? kNoLead : atom_body_index[lead]);
-  std::vector<const Database*> sources(compiled.body.size(), &plan_db);
-  for (size_t i = 0; i < compiled.body.size(); ++i) {
-    const CompiledLiteral& lit = compiled.body[i];
-    if (lit.kind == Literal::Kind::kAtom) {
-      sources[i] = atom_sources[occurrence[lit.body_index]];
-    }
-  }
-  RuleExecutor exec(compiled, std::move(sources), options_.planner);
-  std::vector<SymbolId> head(compiled.head.terms.size());
-  exec.ForEachSolution([&](const BindingEnv& env) {
-    for (size_t i = 0; i < head.size(); ++i) {
-      const CompiledTerm& t = compiled.head.terms[i];
-      head[i] = t.is_var ? env.id(t.slot) : t.const_id;
-    }
-    emit(head.data());
-  });
-  if (stats != nullptr) {
-    ++stats->rule_applications;
-    exec.work().MergeInto(stats);
-  }
-  return Status::OK();
 }
 
 Status Evaluator::Explain(Database* db, PlanExplain* out, bool analyze,

@@ -1,7 +1,6 @@
 #ifndef VADA_DATALOG_EVALUATOR_H_
 #define VADA_DATALOG_EVALUATOR_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -87,37 +86,6 @@ class Evaluator {
   /// Pre-condition: Prepare() returned OK.
   Status Run(Database* db, EvalStats* stats = nullptr,
              Provenance* provenance = nullptr);
-
-  /// Monotone insert continuation (DESIGN.md §5k): `db` already holds a
-  /// fixpoint of this program plus the freshly inserted facts listed in
-  /// `delta`; derives (only) the consequences of those insertions and
-  /// adds them to `db`, restoring the fixpoint. Every positive body-atom
-  /// occurrence over a delta'd predicate is evaluated once with that
-  /// occurrence restricted to the delta, then newly derived facts form
-  /// the next round's delta — standard semi-naive, started from an
-  /// arbitrary insertion instead of the empty database. Sequential and
-  /// deterministic; `added` (optional) collects the newly derived facts.
-  /// Fails with kFailedPrecondition for programs with negation or
-  /// aggregates (insert-monotonicity does not hold there — callers fall
-  /// back to recomputation; see datalog/differential.h).
-  Status RunIncrement(Database* db, const Database& delta,
-                      EvalStats* stats = nullptr, Database* added = nullptr);
-
-  /// Counting-sweep entry point (DESIGN.md §5k). Evaluates rule
-  /// `rule_index` of this program once, read-only, with its i-th positive
-  /// body atom (declared order) ranging over `atom_sources[i]`, and calls
-  /// `emit(head_ids)` once per body solution — repeated heads included,
-  /// so callers can count derivations. The body is planned against
-  /// `plan_db` as Run() would plan it, except that atom `lead` (kNoLead:
-  /// none) is placed before the other atoms. Adds one rule application
-  /// and the join work to
-  /// `stats`. kFailedPrecondition for rules with negation or aggregates;
-  /// kInvalidArgument for a bad index, lead or source list.
-  using HeadSink = std::function<void(const SymbolId* head_ids)>;
-  Status Sweep(size_t rule_index,
-               const std::vector<const Database*>& atom_sources, size_t lead,
-               const Database& plan_db, EvalStats* stats,
-               const HeadSink& emit) const;
 
   /// EXPLAIN / EXPLAIN ANALYZE (DESIGN.md §5g). With `analyze == false`,
   /// compiles every stratum's join plans against `db` as-is and fills

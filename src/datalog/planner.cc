@@ -95,8 +95,7 @@ size_t EstimatedCost(const Literal& l, const Database& db,
 
 std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
                                   const PlannerOptions& options,
-                                  std::vector<LiteralPlan>* plan,
-                                  size_t lead) {
+                                  std::vector<LiteralPlan>* plan) {
   const bool cost_based = options.reorder && db != nullptr;
   std::vector<size_t> pending;
   pending.reserve(rule.body.size());
@@ -137,12 +136,6 @@ std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
       }
     }
     if (placed) continue;
-    // The lead is the first atom placed, whatever its cost.
-    auto lead_it = std::find(pending.begin(), pending.end(), lead);
-    if (lead_it != pending.end()) {
-      place(static_cast<size_t>(lead_it - pending.begin()), 0, 0);
-      continue;
-    }
     // 2. Cheapest positive atom. Ties fall back to declared order in
     // both modes, so planning is deterministic.
     int best = -1;

@@ -82,18 +82,12 @@ struct LiteralPlan {
 ///  * otherwise (legacy heuristic, the oracle): most bound terms, ties
 ///    by declared order.
 /// When `plan` is non-null it receives one LiteralPlan per body literal,
-/// parallel to the returned order. `lead`, when not kNoLead, is the body
-/// index of a positive atom placed before every other atom regardless
-/// of cost (builtins ready from the start still go ahead of it): a
-/// counting sweep's delta occurrence, whose few rows should drive the
-/// join (DESIGN.md §5k).
+/// parallel to the returned order.
 /// Exposed for the planner unit tests; the evaluator calls it per rule
 /// at stratum-compile time with the stratum-start database.
-inline constexpr size_t kNoLead = static_cast<size_t>(-1);
 std::vector<size_t> PlanBodyOrder(const Rule& rule, const Database* db,
                                   const PlannerOptions& options,
-                                  std::vector<LiteralPlan>* plan = nullptr,
-                                  size_t lead = kNoLead);
+                                  std::vector<LiteralPlan>* plan = nullptr);
 
 }  // namespace vada::datalog
 

@@ -1,17 +1,9 @@
 #include "kb/knowledge_base.h"
 
-#include "kb/delta_log.h"
 #include "kb/durability.h"
 #include "kb/write_guard.h"
 
 namespace vada {
-
-void KnowledgeBase::AttachDeltaLog(DeltaLog* delta_log) {
-  delta_log_ = delta_log;
-  // Mutations before attachment were never recorded; mark them
-  // unanswerable so consumers with an older base fully reload.
-  if (delta_log_ != nullptr) delta_log_->SetFloor(global_version_);
-}
 
 void KnowledgeBase::Bump(const std::string& name) {
   // Per-relation versions are allocated from the global counter instead
@@ -94,16 +86,13 @@ Status KnowledgeBase::Insert(const std::string& relation_name, Tuple tuple) {
   WillMutate(relation_name);
   // The insert consumes `tuple`; keep a copy only when it must be logged.
   Tuple logged;
-  if (durability_ != nullptr || delta_log_ != nullptr) logged = tuple;
+  if (durability_ != nullptr) logged = tuple;
   bool added = false;
   VADA_RETURN_IF_ERROR(it->second.Insert(std::move(tuple), &added));
   if (added) {
     ++facts_added_;
     Bump(relation_name);
     if (durability_ != nullptr) durability_->LogInsert(relation_name, logged);
-    if (delta_log_ != nullptr) {
-      delta_log_->OnInsert(relation_name, logged, global_version_);
-    }
   }
   return Status::OK();
 }
@@ -128,11 +117,6 @@ Status KnowledgeBase::InsertAll(const Relation& relation) {
     if (added) {
       ++facts_added_;
       if (durability_ != nullptr) durability_->LogInsert(relation.name(), row);
-      // The single Bump below assigns version global_version_ + 1 to
-      // the whole batch; record each row under that version.
-      if (delta_log_ != nullptr) {
-        delta_log_->OnInsert(relation.name(), row, global_version_ + 1);
-      }
     }
     any = any || added;
   }
@@ -153,9 +137,6 @@ Status KnowledgeBase::Retract(const std::string& relation_name,
     ++facts_removed_;
     Bump(relation_name);
     if (durability_ != nullptr) durability_->LogRetract(relation_name, tuple);
-    if (delta_log_ != nullptr) {
-      delta_log_->OnRetract(relation_name, tuple, global_version_);
-    }
   }
   return Status::OK();
 }
@@ -170,13 +151,6 @@ Status KnowledgeBase::ClearRelation(const std::string& relation_name) {
   if (!it->second.empty()) {
     WillMutate(relation_name);
     facts_removed_ += it->second.size();
-    // Row-level retracts (not a reset): a clear is an exact delta, so
-    // incremental consumers stay on the delta path.
-    if (delta_log_ != nullptr) {
-      for (const Tuple& row : it->second.rows()) {
-        delta_log_->OnRetract(relation_name, row, global_version_ + 1);
-      }
-    }
     it->second.Clear();
     Bump(relation_name);
     if (durability_ != nullptr) durability_->LogClear(relation_name);
@@ -199,9 +173,6 @@ Status KnowledgeBase::DropRelation(const std::string& name) {
   catalog_.Remove(name);
   ++global_version_;
   if (durability_ != nullptr) durability_->LogDrop(name);
-  // The schema is gone: a re-created relation's rows are not comparable
-  // to the old ones, so mark the history unanswerable.
-  if (delta_log_ != nullptr) delta_log_->OnReset(name, global_version_);
   return Status::OK();
 }
 
@@ -218,17 +189,6 @@ Status KnowledgeBase::ReplaceRelation(Relation relation) {
   const std::string& name = it->first;
   facts_removed_ += it->second.size();
   facts_added_ += relation.size();
-  // The delta log records the *effective* row changes of a replace —
-  // diffed before the move below destroys the old rows.
-  if (delta_log_ != nullptr) {
-    const uint64_t version = global_version_ + 1;  // the Bump below
-    for (const Tuple& row : it->second.rows()) {
-      if (!relation.Contains(row)) delta_log_->OnRetract(name, row, version);
-    }
-    for (const Tuple& row : relation.rows()) {
-      if (!it->second.Contains(row)) delta_log_->OnInsert(name, row, version);
-    }
-  }
   // An active guard takes the old relation as its pre-image (on first
   // touch); the new one is move-assigned into the same map node, so
   // pointers from FindRelation stay valid and show the new rows.

@@ -14,7 +14,6 @@
 
 namespace vada {
 
-class DeltaLog;
 class DurabilityManager;
 class WriteGuard;
 
@@ -162,14 +161,6 @@ class KnowledgeBase {
   }
   DurabilityManager* durability() const { return durability_; }
 
-  /// Attaches (nullptr: detaches) the delta log that records this KB's
-  /// effective row-level changes for incremental consumers
-  /// (kb/delta_log.h). Not owned. Mutations append records as they
-  /// commit; WriteGuard::Rollback rewinds the log to the transaction
-  /// start, so it never holds phantom deltas.
-  void AttachDeltaLog(DeltaLog* delta_log);
-  DeltaLog* delta_log() const { return delta_log_; }
-
  private:
   friend class WriteGuard;
   friend class ReadSetKey;  // compares versions without recording
@@ -208,7 +199,6 @@ class KnowledgeBase {
   Catalog catalog_;
   WriteGuard* guard_ = nullptr;  // active transaction guard; not owned
   DurabilityManager* durability_ = nullptr;  // WAL hook; not owned
-  DeltaLog* delta_log_ = nullptr;  // incremental-consumer hook; not owned
   ReadSet* access_log_ = nullptr;  // see RecordAccesses; not owned
 };
 

@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "kb/delta_log.h"
 #include "kb/durability.h"
 
 namespace vada {
@@ -77,10 +76,6 @@ void WriteGuard::Rollback() {
   kb_->catalog_.Restore(std::move(roles_));
   touched_.clear();
   if (kb_->durability_ != nullptr) kb_->durability_->OnTxnAbort();
-  // The transaction's delta records describe mutations that no longer
-  // happened; rewind to the version saved at construction so the next
-  // incremental pass never sees phantom deltas.
-  if (kb_->delta_log_ != nullptr) kb_->delta_log_->OnRewind(global_version_);
 }
 
 }  // namespace vada

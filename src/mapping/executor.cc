@@ -131,76 +131,6 @@ Result<Relation> MappingExecutor::ToRelation(const Mapping& mapping,
   return out;
 }
 
-Result<Relation> MappingExecutor::ExecuteIncremental(
-    const Mapping& mapping, const Schema& target, const KnowledgeBase& kb,
-    const DeltaLog& log, double max_delta_fraction,
-    MappingDeltaState* state) const {
-  // The sources' rows come from the delta log below, which a KB access
-  // log cannot see; looking each source up keeps it in the read set of
-  // the step executing this mapping.
-  for (const std::string& source : mapping.source_relations) {
-    (void)kb.HasRelation(source);
-  }
-  // The maintained state is reusable only when it was built from this
-  // rule text, no rollback rewound versions we already consumed, and
-  // the log can answer every source's range exactly.
-  bool reusable = state->eval != nullptr &&
-                  state->rule_text == mapping.rule_text &&
-                  state->rewind_epoch == log.rewind_epoch();
-  datalog::RelationDelta delta;
-  if (reusable) {
-    for (const std::string& source : mapping.source_relations) {
-      std::optional<DeltaLog::RelationDelta> d =
-          log.Since(source, state->kb_version);
-      if (!d.has_value()) {
-        reusable = false;
-        break;
-      }
-      if (d->inserts.empty() && d->retracts.empty()) continue;
-      datalog::DeltaRows& rows = delta[source];
-      rows.inserts.insert(rows.inserts.end(), d->inserts.begin(),
-                          d->inserts.end());
-      rows.retracts.insert(rows.retracts.end(), d->retracts.begin(),
-                           d->retracts.end());
-    }
-  }
-  if (!reusable) {
-    Result<datalog::Program> program =
-        datalog::Parser::Parse(mapping.rule_text);
-    if (!program.ok()) {
-      return Status::InvalidArgument("mapping " + mapping.id +
-                                     " has unparsable rule: " +
-                                     program.status().message());
-    }
-    datalog::Database edb;
-    for (const std::string& source : mapping.source_relations) {
-      const Relation* rel = kb.FindRelation(source);
-      if (rel != nullptr) edb.LoadRelation(*rel);
-    }
-    datalog::DifferentialOptions options;
-    options.eval.planner = planner_;
-    options.max_delta_fraction = max_delta_fraction;
-    auto eval = std::make_unique<datalog::DifferentialEvaluator>(
-        std::move(program).value(), options);
-    VADA_RETURN_IF_ERROR(eval->Prepare());
-    VADA_RETURN_IF_ERROR(eval->Initialize(edb));
-    state->eval = std::move(eval);
-    state->rule_text = mapping.rule_text;
-    ++state->full_inits;
-  } else if (!delta.empty()) {
-    VADA_RETURN_IF_ERROR(state->eval->ApplyDelta(delta));
-  }
-  state->kb_version = kb.global_version();
-  state->rewind_epoch = log.rewind_epoch();
-
-  // Same result construction as Execute: the maintained database is
-  // row-equal to a from-scratch evaluation (the differential fuzz
-  // proves it), and the sort erases any row-order difference.
-  return ToRelation(
-      mapping, target,
-      SortedRows(state->eval->database(), mapping.result_predicate));
-}
-
 Result<Relation> MappingExecutor::ExecuteUnion(
     const std::vector<Mapping>& mappings, const Schema& target,
     const KnowledgeBase& kb, const std::string& result_name) const {

@@ -1,43 +1,19 @@
 #ifndef VADA_MAPPING_EXECUTOR_H_
 #define VADA_MAPPING_EXECUTOR_H_
 
-#include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "datalog/differential.h"
 #include "datalog/planner.h"
 #include "datalog/provenance.h"
 #include "datalog/snapshot_cache.h"
-#include "kb/delta_log.h"
 #include "kb/knowledge_base.h"
 #include "kb/schema.h"
 #include "mapping/mapping.h"
 
 namespace vada {
-
-/// Per-mapping state of delta-driven mapping execution (DESIGN.md §5k):
-/// a differential evaluator holding the mapping's maintained fixpoint,
-/// plus the watermarks that decide whether the next execution can be
-/// incremental — the KB global version its state corresponds to, the
-/// delta-log rewind epoch (a rollback invalidates version watermarks),
-/// and the rule text it was compiled from. Owned by WranglingState,
-/// keyed by mapping id.
-struct MappingDeltaState {
-  std::unique_ptr<datalog::DifferentialEvaluator> eval;
-  std::string rule_text;
-  /// KB global version the evaluator's base facts were last synced at.
-  uint64_t kb_version = 0;
-  /// DeltaLog::rewind_epoch at the last sync; a mismatch means a
-  /// rollback rewound versions we already consumed — full re-init.
-  uint64_t rewind_epoch = 0;
-  /// Full (re)initialisations, incl. the first; delta applies live in
-  /// eval->lifetime_stats().
-  uint64_t full_inits = 0;
-};
 
 /// A mapping's result as symbol ids: `rows` rows of `arity` ids each,
 /// row-major, sorted in Tuple order. Plain data, so a pool worker can
@@ -109,25 +85,6 @@ class MappingExecutor {
   Result<Relation> ExecuteUnion(const std::vector<Mapping>& mappings,
                                 const Schema& target, const KnowledgeBase& kb,
                                 const std::string& result_name) const;
-
-  /// Delta-driven variant of Execute (DESIGN.md §5k): maintains the
-  /// mapping's fixpoint in `state` and, when `log` can answer exactly
-  /// what changed in the mapping's sources since the last call, routes
-  /// only those row deltas through the differential evaluator instead
-  /// of re-evaluating from scratch. Falls back to a full
-  /// re-initialisation when the state is missing or stale (first call,
-  /// changed rule text, a rollback rewound the log, unanswerable
-  /// version range) — and the evaluator itself falls back to one full
-  /// run when a batch exceeds `max_delta_fraction` of its base facts.
-  /// The returned relation is identical to Execute's. Provenance is not
-  /// recorded on this path; callers needing row-level explanations
-  /// re-execute with Execute.
-  Result<Relation> ExecuteIncremental(const Mapping& mapping,
-                                      const Schema& target,
-                                      const KnowledgeBase& kb,
-                                      const DeltaLog& log,
-                                      double max_delta_fraction,
-                                      MappingDeltaState* state) const;
 
  private:
   /// Runs `mapping`'s rule over `db` and returns its result rows.

@@ -18,7 +18,6 @@
 #include "feedback/feedback.h"
 #include "fusion/dedup.h"
 #include "feedback/propagation.h"
-#include "kb/delta_log.h"
 #include "kb/durability.h"
 #include "kb/read_set.h"
 #include "mapping/executor.h"
@@ -54,31 +53,12 @@ struct ParallelismOptions {
   /// block), mapping execution (one per mapping), quality_metrics and
   /// source_quality (one per mapping result or source) and
   /// instance_matching (one per source and data-context binding).
-  /// Orchestration, repair, incremental mapping execution and every KB
-  /// read and write stay on the calling thread. Defaults to the hardware
-  /// thread count; 1 (or 0) creates no pool and runs everything inline.
+  /// Orchestration, repair and every KB read and write stay on the
+  /// calling thread. Defaults to the hardware thread count; 1 (or 0)
+  /// creates no pool and runs everything inline.
   /// Output is identical at every setting — tasks merge in fixed order —
   /// so this changes only wall time.
   size_t threads = HardwareThreads();
-};
-
-/// Delta-driven differential maintenance of mapping execution — the
-/// paper's "pay-as-you-go" made incremental (DESIGN.md §5k). With
-/// `enabled`, the session attaches a DeltaLog to the knowledge base and
-/// mapping execution routes feedback/context/source row changes through
-/// a per-mapping DifferentialEvaluator, touching only affected
-/// derivations; results are row-identical to a full re-evaluation at
-/// every setting. Off by default — the execution path is then exactly
-/// the full-re-run one.
-struct IncrementalOptions {
-  bool enabled = false;
-  /// A delta batch whose effective base-fact flips exceed this fraction
-  /// of the evaluator's base facts falls back to one full re-run (<= 0
-  /// forces the full path always; see DifferentialOptions).
-  double max_delta_fraction = 0.25;
-  /// DeltaLog capacity; the oldest records are evicted past it and the
-  /// affected mappings fall back to a full re-initialisation.
-  size_t max_log_records = DeltaLog::kDefaultMaxRecords;
 };
 
 /// How strictly the session enforces static analysis of transducer
@@ -136,12 +116,6 @@ struct WranglerConfig {
   /// no longer be derived into its scratch database. See README
   /// "Performance & tuning".
   datalog::PlannerOptions planner;
-  /// Delta-driven differential maintenance of mapping execution
-  /// (DESIGN.md §5k): with `enabled`, only the derivations affected by
-  /// what actually changed since the previous run are recomputed,
-  /// falling back to a full re-run past `max_delta_fraction`. Results
-  /// are row-identical either way. See README "Performance & tuning".
-  IncrementalOptions incremental;
   /// Knowledge-base durability: write-ahead logging of every KB
   /// mutation, atomic checkpoints and crash recovery at session open
   /// (kb/durability.h, DESIGN.md §5i). Off by default — the commit path
@@ -249,13 +223,6 @@ struct WranglingState {
   PieceCaches pieces;
   /// Pieces run and reused over the session, by transducer.
   std::map<std::string, PieceCounts> piece_counts;
-  /// The session's KB change log when config.incremental.enabled (the
-  /// session owns the log and attaches it to the KB); nullptr otherwise.
-  DeltaLog* delta_log = nullptr;
-  /// Per-mapping differential-maintenance state (DESIGN.md §5k), keyed
-  /// by mapping id; entries of mappings that no longer exist are pruned
-  /// after each mapping-execution run.
-  std::map<std::string, MappingDeltaState> mapping_delta;
   /// The session's one version-keyed snapshot cache (always on —
   /// entries are keyed on the KB version epoch and relation version; see
   /// datalog/snapshot_cache.h). Dependency scans and mapping execution

@@ -71,15 +71,6 @@ WranglingSession::WranglingSession(WranglerConfig config) {
           << "durability open failed: " << opened.status().ToString();
     }
   }
-  if (state_->config.incremental.enabled) {
-    // Attached after durability recovery: the recovered state is the
-    // base the first mapping initialisation reads, so its replayed
-    // mutations need no delta records.
-    delta_log_ = std::make_unique<DeltaLog>(
-        state_->config.incremental.max_log_records);
-    kb_.AttachDeltaLog(delta_log_.get());
-    state_->delta_log = delta_log_.get();
-  }
   registry_.SetDecorator(state_->config.transducer_decorator);
   if (obs_->metrics() != nullptr) {
     state_->snapshot_cache.SetCounters(
@@ -439,57 +430,6 @@ void WranglingSession::PublishKbGauges() const {
           "Approximate resident bytes of the process-wide symbol "
           "table (id chunks, intern map, value payloads)")
       ->Set(static_cast<int64_t>(symtab.ApproxBytes()));
-  if (delta_log_ != nullptr) {
-    datalog::DeltaStats agg;
-    uint64_t full_inits = 0;
-    for (const auto& [id, mds] : state_->mapping_delta) {
-      full_inits += mds.full_inits;
-      if (mds.eval == nullptr) continue;
-      const datalog::DeltaStats& s = mds.eval->lifetime_stats();
-      agg.applies += s.applies;
-      agg.full_fallbacks += s.full_fallbacks;
-      agg.strata_skipped += s.strata_skipped;
-      agg.strata_counting += s.strata_counting;
-      agg.strata_monotone += s.strata_monotone;
-      agg.strata_recomputed += s.strata_recomputed;
-      agg.facts_inserted += s.facts_inserted;
-      agg.facts_retracted += s.facts_retracted;
-    }
-    g.Fixed("vada_delta_log_records",
-            "KB change-log records currently retained for "
-            "differential mapping maintenance")
-        ->Set(static_cast<int64_t>(delta_log_->size()));
-    g.Fixed("vada_delta_applies",
-            "Delta batches applied across maintained mappings")
-        ->Set(static_cast<int64_t>(agg.applies));
-    g.Fixed("vada_delta_full_reinits",
-            "Full mapping (re)initialisations, incl. each mapping's "
-            "first")
-        ->Set(static_cast<int64_t>(full_inits));
-    g.Fixed("vada_delta_full_fallbacks",
-            "Delta batches that exceeded max_delta_fraction and fell "
-            "back to one full re-run")
-        ->Set(static_cast<int64_t>(agg.full_fallbacks));
-    g.Fixed("vada_delta_strata_skipped",
-            "Strata skipped because no input of theirs changed")
-        ->Set(static_cast<int64_t>(agg.strata_skipped));
-    g.Fixed("vada_delta_strata_counting",
-            "Strata maintained by counting-based delta sweeps")
-        ->Set(static_cast<int64_t>(agg.strata_counting));
-    g.Fixed("vada_delta_strata_monotone",
-            "Strata continued by insert-only semi-naive increments")
-        ->Set(static_cast<int64_t>(agg.strata_monotone));
-    g.Fixed("vada_delta_strata_recomputed",
-            "Strata recomputed and diffed (negation/aggregates or "
-            "recursive retracts)")
-        ->Set(static_cast<int64_t>(agg.strata_recomputed));
-    g.Fixed("vada_delta_facts_inserted",
-            "Facts inserted into maintained mapping fixpoints")
-        ->Set(static_cast<int64_t>(agg.facts_inserted));
-    g.Fixed("vada_delta_facts_retracted",
-            "Facts retracted from maintained mapping fixpoints")
-        ->Set(static_cast<int64_t>(agg.facts_retracted));
-  }
   if (durability_ != nullptr) durability_->PublishGauges();
   obs::PublishProcessMetrics(m);
 
@@ -506,20 +446,6 @@ void WranglingSession::PublishKbGauges() const {
     };
     session_handle_.Update(std::move(snap));
   }
-}
-
-Result<std::string> WranglingSession::ExplainIncremental() const {
-  if (delta_log_ == nullptr) {
-    return Status::FailedPrecondition(
-        "incremental maintenance is disabled for this session");
-  }
-  std::string out;
-  for (const auto& [id, mds] : state_->mapping_delta) {
-    if (mds.eval == nullptr) continue;
-    out += "mapping " + id + ": " + mds.eval->last_plan() + "\n";
-  }
-  if (out.empty()) out = "no maintained mappings yet\n";
-  return out;
 }
 
 Result<datalog::PlanExplain> WranglingSession::ExplainProgram(

@@ -99,19 +99,6 @@ class WranglingSession {
   /// false or recovery failed at construction).
   const DurabilityManager* durability() const { return durability_.get(); }
 
-  /// The KB change log driving differential mapping maintenance
-  /// (nullptr when config.incremental.enabled is false). See DESIGN.md
-  /// §5k.
-  const DeltaLog* delta_log() const { return delta_log_.get(); }
-
-  /// EXPLAIN of the last mapping-execution round under differential
-  /// maintenance (DESIGN.md §5k): one line per maintained mapping with
-  /// the plan its evaluator chose — per-stratum delta strategies
-  /// (skip / counting / monotone / recompute) or the full-run fallback
-  /// and why. kFailedPrecondition when config.incremental.enabled is
-  /// false; notes when no mapping has executed yet.
-  Result<std::string> ExplainIncremental() const;
-
   /// Outcome of crash recovery at construction. OK when durability is
   /// off; kDataLoss when the durable state was unrecoverable. Run()
   /// refuses to proceed on a non-OK open status.
@@ -198,9 +185,6 @@ class WranglingSession {
   /// Declared right after kb_ (and destroyed before it) because the
   /// manager detaches from the KB in its destructor.
   std::unique_ptr<DurabilityManager> durability_;
-  /// The KB change log when config.incremental.enabled; attached to kb_
-  /// at construction and referenced (non-owning) by state_->delta_log.
-  std::unique_ptr<DeltaLog> delta_log_;
   Status durability_open_status_;
   std::unique_ptr<WranglingState> state_;
   std::unique_ptr<obs::ObsContext> obs_;

@@ -242,27 +242,6 @@ Status MappingExecutionBody(WranglingState* state, KnowledgeBase* kb) {
   const std::vector<Mapping>& mappings = read.value();
   MappingExecutor executor(state->config.planner);
   executor.set_snapshot_cache(&state->snapshot_cache);
-  if (state->config.incremental.enabled && state->delta_log != nullptr) {
-    // Serial: each mapping's maintained state reads the delta log.
-    for (const Mapping& m : mappings) {
-      Result<Relation> result = executor.ExecuteIncremental(
-          m, target.value(), *kb, *state->delta_log,
-          state->config.incremental.max_delta_fraction,
-          &state->mapping_delta[m.id]);
-      if (!result.ok()) return result.status();
-      VADA_RETURN_IF_ERROR(
-          WriteMetadataRelation(kb, std::move(result).value()));
-    }
-    // Drop maintained state of mappings that no longer exist.
-    std::set<std::string> live;
-    for (const Mapping& m : mappings) live.insert(m.id);
-    for (auto it = state->mapping_delta.begin();
-         it != state->mapping_delta.end();) {
-      it = live.count(it->first) > 0 ? std::next(it)
-                                     : state->mapping_delta.erase(it);
-    }
-    return Status::OK();
-  }
   // One piece per mapping, keyed on its sources, the target schema, its
   // result and the mapping itself. The pieces whose key no longer holds
   // are evaluated, one task each, over source snapshots taken here; their

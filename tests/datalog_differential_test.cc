@@ -6,8 +6,6 @@
 // the indexed and reordered paths must derive the same fact sets, and
 // `indexes` alone must reproduce the oracle's row order exactly (index
 // buckets keep insertion order).
-#include <algorithm>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -120,89 +118,6 @@ TEST_P(OptimizerDifferential, GoalVisibleOutputIsBitIdentical) {
       ASSERT_TRUE(actual.ok()) << actual.status().message();
       EXPECT_EQ(actual.value(), expected.value());
     }
-  }
-}
-
-/// Incremental-vs-full equivalence fuzz (DESIGN.md §5k): each seed
-/// generates a random program plus a randomized insert/retract delta
-/// stream. A DifferentialEvaluator maintains the fixpoint batch by
-/// batch; after every batch its database must match (order-normalized)
-/// a from-scratch re-evaluation of the mutated base — through the
-/// counting, monotone, recompute and threshold-fallback paths, with
-/// negation and aggregates always present via the fixed program tail.
-/// A default-threshold maintainer (which crosses into full rebuild on
-/// the stream's oversized batch) must agree too.
-/// 25 shards x 20 seeds = 500 programs.
-class IncrementalDifferential : public ::testing::TestWithParam<int> {};
-
-INSTANTIATE_TEST_SUITE_P(Shards, IncrementalDifferential,
-                         ::testing::Range(0, 25));
-
-std::map<std::string, std::vector<Tuple>> FactsOf(const Database& db) {
-  std::map<std::string, std::vector<Tuple>> out;
-  for (const std::string& pred : db.Predicates()) {
-    out[pred] = db.facts(pred);
-  }
-  return out;
-}
-
-std::map<std::string, std::vector<Tuple>> SortedFactsOf(const Database& db) {
-  auto out = FactsOf(db);
-  for (auto& [pred, rows] : out) std::sort(rows.begin(), rows.end());
-  return out;
-}
-
-TEST_P(IncrementalDifferential, MaintainedFixpointMatchesFromScratch) {
-  for (int s = 0; s < kSeedsPerShard; ++s) {
-    int seed = GetParam() * kSeedsPerShard + s;
-    SCOPED_TRACE("seed=" + std::to_string(seed));
-    Rng rng(seed);
-    Database edb = RandomEdb(&rng);
-    Result<Program> program = Parser::Parse(RandomProgram(&rng));
-    ASSERT_TRUE(program.ok()) << program.status().message();
-    std::vector<RelationDelta> stream = RandomDeltaStream(&rng, edb);
-
-    // Pure-incremental maintainer: the threshold never trips, so every
-    // batch exercises the per-stratum delta machinery.
-    DifferentialOptions inc_opts;
-    inc_opts.max_delta_fraction = 1e9;
-    DifferentialEvaluator diff(program.value(), inc_opts);
-    ASSERT_TRUE(diff.Prepare().ok());
-    ASSERT_TRUE(diff.Initialize(edb).ok());
-
-    // Default threshold: the oversized batch in every stream crosses
-    // max_delta_fraction and takes the full-rebuild fallback.
-    DifferentialEvaluator fdiff(program.value(), DifferentialOptions());
-    ASSERT_TRUE(fdiff.Prepare().ok());
-    ASSERT_TRUE(fdiff.Initialize(edb).ok());
-
-    EvalOptions oracle;
-    oracle.planner = PlannerOptions{.indexes = false, .reorder = false};
-    std::map<std::string, std::set<Tuple>> base = BaseRows(edb);
-    for (size_t b = 0; b < stream.size(); ++b) {
-      SCOPED_TRACE("batch=" + std::to_string(b));
-      ApplyDeltaToBase(stream[b], &base);
-      ASSERT_TRUE(diff.ApplyDelta(stream[b]).ok());
-      ASSERT_TRUE(fdiff.ApplyDelta(stream[b]).ok());
-
-      EvalOutput expected =
-          Evaluate(program.value(), BaseToDatabase(base), oracle);
-      auto expected_sorted = expected.SortedFacts();
-      EXPECT_EQ(SortedFactsOf(diff.database()), expected_sorted);
-      EXPECT_EQ(SortedFactsOf(fdiff.database()), expected_sorted);
-    }
-
-    // Stats sanity: every batch was applied, the pure-incremental
-    // maintainer never fell back, and its EXPLAIN surface reported a
-    // delta plan for the last (non-empty) batch.
-    const DeltaStats& st = diff.lifetime_stats();
-    EXPECT_EQ(st.applies, stream.size());
-    EXPECT_EQ(st.full_fallbacks, 0u);
-    EXPECT_GT(st.strata_skipped + st.strata_counting + st.strata_monotone +
-                  st.strata_recomputed,
-              0u);
-    EXPECT_GT(fdiff.lifetime_stats().full_fallbacks, 0u);
-    EXPECT_NE(diff.last_plan().find("plan"), std::string::npos);
   }
 }
 

@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,7 +17,6 @@
 
 #include "common/rng.h"
 #include "datalog/database.h"
-#include "datalog/differential.h"
 #include "datalog/evaluator.h"
 
 namespace vada::datalog {
@@ -147,127 +145,6 @@ inline std::string RandomProgram(Rng* rng) {
 inline std::vector<std::string> RandomProgramGoals() {
   return {"p0", "p1",     "p2",     "p3",   "reach",
           "unreach", "fanout", "wsum", "span"};
-}
-
-/// The base (pre-derivation) fact sets of `db`, keyed by predicate —
-/// the shadow state the incremental-vs-full fuzz maintains alongside a
-/// DifferentialEvaluator.
-inline std::map<std::string, std::set<Tuple>> BaseRows(const Database& db) {
-  std::map<std::string, std::set<Tuple>> base;
-  for (const std::string& pred : db.Predicates()) {
-    const std::vector<Tuple> rows = db.facts(pred);
-    base[pred].insert(rows.begin(), rows.end());
-  }
-  return base;
-}
-
-inline Database BaseToDatabase(
-    const std::map<std::string, std::set<Tuple>>& base) {
-  Database db;
-  for (const auto& [pred, rows] : base) {
-    for (const Tuple& t : rows) db.Insert(pred, t);
-  }
-  return db;
-}
-
-/// Applies one delta batch to a shadow base map under the
-/// DifferentialEvaluator contract: rows in both lists of a batch net
-/// out, then inserts union in and retracts drop out (absent rows are
-/// no-ops).
-inline void ApplyDeltaToBase(const RelationDelta& delta,
-                             std::map<std::string, std::set<Tuple>>* base) {
-  for (const auto& [pred, dr] : delta) {
-    std::set<Tuple> ins(dr.inserts.begin(), dr.inserts.end());
-    std::set<Tuple> ret(dr.retracts.begin(), dr.retracts.end());
-    for (auto it = ins.begin(); it != ins.end();) {
-      auto rit = ret.find(*it);
-      if (rit != ret.end()) {
-        ret.erase(rit);
-        it = ins.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    std::set<Tuple>& rows = (*base)[pred];
-    for (const Tuple& t : ins) rows.insert(t);
-    for (const Tuple& t : ret) rows.erase(t);
-    if (rows.empty()) base->erase(pred);
-  }
-}
-
-/// A random tuple of the right arity/domain for `pred`, matching the
-/// RandomEdb shapes (plus the IDB predicates deltas may feed directly).
-inline Tuple RandomDeltaTuple(Rng* rng, const std::string& pred) {
-  auto node = [&] { return Value::Int(rng->UniformInt(0, 12)); };
-  if (pred == "lab") {
-    return Tuple({node(),
-                  Value::String("s" + std::to_string(rng->UniformInt(0, 3)))});
-  }
-  if (pred == "w") {
-    return Tuple({node(), node(), Value::Int(rng->UniformInt(0, 9))});
-  }
-  if (pred == "src" || pred == "node" || pred == "reach") {
-    return Tuple({node()});
-  }
-  return Tuple({node(), node()});  // e0/e1/e2/p0
-}
-
-/// A randomized insert/retract stream over the RandomEdb relations (and
-/// occasionally base facts of IDB predicates, exercising the staged
-/// path): small mixed batches with real retracts of current base rows,
-/// no-op retracts of absent rows, insert+retract pairs that must net
-/// out, empty batches — plus one oversized insert burst per stream that
-/// crosses the default full-rebuild threshold.
-inline std::vector<RelationDelta> RandomDeltaStream(Rng* rng,
-                                                    const Database& edb) {
-  std::map<std::string, std::set<Tuple>> base = BaseRows(edb);
-  const std::vector<std::string> preds = {"e0", "e1",   "e2",   "lab", "w",
-                                          "src", "node", "p0",   "reach"};
-  std::vector<RelationDelta> stream;
-  const int batches = 6;
-  const int burst = static_cast<int>(rng->UniformInt(1, batches - 1));
-  for (int b = 0; b < batches; ++b) {
-    RelationDelta delta;
-    if (b == burst) {
-      // Distinct rows outside the 0..12 node domain: every one is a
-      // fresh base flip, so the burst always exceeds the default
-      // full-rebuild threshold (RandomEdb tops out near 280 rows).
-      DeltaRows& dr = delta["e0"];
-      int start = static_cast<int>(rng->UniformInt(100, 400));
-      for (int i = 0; i < 90; ++i) {
-        dr.inserts.push_back(
-            Tuple({Value::Int(start + i), Value::Int(start + i + 1)}));
-      }
-    } else {
-      int touched = static_cast<int>(rng->UniformInt(1, 3));
-      for (int t = 0; t < touched; ++t) {
-        const std::string& pred =
-            preds[rng->UniformInt(0, preds.size() - 1)];
-        DeltaRows& dr = delta[pred];
-        int ins = static_cast<int>(rng->UniformInt(0, 2));
-        int ret = static_cast<int>(rng->UniformInt(0, 2));
-        for (int i = 0; i < ins; ++i) {
-          dr.inserts.push_back(RandomDeltaTuple(rng, pred));
-        }
-        for (int i = 0; i < ret; ++i) {
-          const std::set<Tuple>& rows = base[pred];
-          if (!rows.empty() && rng->Bernoulli(0.7)) {
-            auto it = rows.begin();
-            std::advance(it, rng->UniformInt(0, rows.size() - 1));
-            dr.retracts.push_back(*it);
-          } else {
-            dr.retracts.push_back(RandomDeltaTuple(rng, pred));
-          }
-        }
-        if (!dr.inserts.empty() && rng->Bernoulli(0.15)) {
-          dr.retracts.push_back(dr.inserts.front());  // nets out
-        }
-      }
-    }
-    ApplyDeltaToBase(delta, &base);
-    stream.push_back(std::move(delta));
-  }
-  return stream;
 }
 
 }  // namespace vada::datalog

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "kb/delta_log.h"
 #include "kb/knowledge_base.h"
 
 namespace vada {
@@ -220,58 +219,6 @@ TEST(WriteGuardTest, RollbackIsIdempotentAndNoOpAfterCommit) {
   }
   EXPECT_EQ(kb.FindRelation("a")->size(), 3u);
   EXPECT_FALSE(kb.HasActiveGuard());
-}
-
-/// Rollback must rewind an attached DeltaLog too: without it, the
-/// aborted transaction's records survive as phantom deltas, and —
-/// because rollback rewinds the version counter — later committed
-/// writes would reuse the same version numbers and alias onto them.
-/// Incremental consumers reading Since(v) would then maintain state
-/// the KB never held (DESIGN.md §5k).
-TEST(WriteGuardTest, RollbackRewindsAttachedDeltaLog) {
-  KnowledgeBase kb = MakeKb();
-  DeltaLog log;
-  kb.AttachDeltaLog(&log);
-  const uint64_t v0 = kb.global_version();
-  const uint64_t epoch0 = log.rewind_epoch();
-  ASSERT_TRUE(kb.Insert("a", {Value::Int(7), Value::String("pre")}).ok());
-  const uint64_t v1 = kb.global_version();
-  {
-    WriteGuard guard(&kb);
-    ASSERT_TRUE(kb.Insert("a", {Value::Int(8), Value::String("tx")}).ok());
-    ASSERT_TRUE(kb.Retract("a", {Value::Int(1), Value::String("one")}).ok());
-    ASSERT_TRUE(kb.ClearRelation("b").ok());
-    // No Commit(): everything above must vanish from the log.
-  }
-  std::optional<DeltaLog::RelationDelta> a = log.Since("a", v1);
-  ASSERT_TRUE(a.has_value());
-  EXPECT_TRUE(a->inserts.empty());
-  EXPECT_TRUE(a->retracts.empty());
-  std::optional<DeltaLog::RelationDelta> b = log.Since("b", v1);
-  ASSERT_TRUE(b.has_value());
-  EXPECT_TRUE(b->inserts.empty());
-  EXPECT_TRUE(b->retracts.empty());
-  // The pre-guard committed insert survives the rewind.
-  std::optional<DeltaLog::RelationDelta> committed = log.Since("a", v0);
-  ASSERT_TRUE(committed.has_value());
-  ASSERT_EQ(committed->inserts.size(), 1u);
-  EXPECT_EQ(committed->inserts[0],
-            Tuple({Value::Int(7), Value::String("pre")}));
-  // Rollback bumps the rewind epoch so stateful consumers (which cache
-  // version watermarks) know to re-seed rather than trust Since().
-  EXPECT_GT(log.rewind_epoch(), epoch0);
-  // Committed writes after the rollback reuse the rewound version
-  // numbers; the log must report exactly them, nothing phantom.
-  {
-    WriteGuard guard(&kb);
-    ASSERT_TRUE(kb.Insert("a", {Value::Int(9), Value::String("post")}).ok());
-    guard.Commit();
-  }
-  std::optional<DeltaLog::RelationDelta> after = log.Since("a", v1);
-  ASSERT_TRUE(after.has_value());
-  ASSERT_EQ(after->inserts.size(), 1u);
-  EXPECT_EQ(after->inserts[0], Tuple({Value::Int(9), Value::String("post")}));
-  EXPECT_TRUE(after->retracts.empty());
 }
 
 TEST(WriteGuardTest, SequentialGuardsOnOneKb) {

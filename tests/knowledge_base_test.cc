@@ -5,7 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "kb/delta_log.h"
 #include "kb/durability.h"
 #include "kb/fs_util.h"
 #include "kb/knowledge_base.h"
@@ -105,18 +104,15 @@ TEST(KnowledgeBaseTest, InsertAllWithAnIllTypedRowChangesNothing) {
   const DurabilityOptions options = DurableOptions("insert_all");
   const Schema schema("r", {{"a", AttributeType::kInt}});
   {
-    DeltaLog delta_log;
     KnowledgeBase kb;
     Result<std::unique_ptr<DurabilityManager>> durability =
         DurabilityManager::Open(options, &kb);
     ASSERT_TRUE(durability.ok()) << durability.status().ToString();
-    kb.AttachDeltaLog(&delta_log);
     ASSERT_TRUE(kb.CreateRelation(schema).ok());
     ASSERT_TRUE(kb.Assert("r", {Value::Int(1)}).ok());
     const uint64_t version = kb.relation_version("r");
     const uint64_t global_version = kb.global_version();
     const uint64_t facts_added = kb.facts_added();
-    const size_t delta_records = delta_log.size();
     const uint64_t wal_records = durability.value()->wal()->appended_records();
 
     // The first row is fine, the second is not: nothing may be applied.
@@ -135,7 +131,6 @@ TEST(KnowledgeBaseTest, InsertAllWithAnIllTypedRowChangesNothing) {
     EXPECT_EQ(kb.relation_version("r"), version);
     EXPECT_EQ(kb.global_version(), global_version);
     EXPECT_EQ(kb.facts_added(), facts_added);
-    EXPECT_EQ(delta_log.size(), delta_records);
     EXPECT_EQ(durability.value()->wal()->appended_records(), wal_records);
   }
   KnowledgeBase reopened;
@@ -163,15 +158,17 @@ TEST(KnowledgeBaseTest, ReplaceKeepsTheRelationsAddress) {
 }
 
 TEST(KnowledgeBaseTest, ReplaceIfChangedWithReorderedRowsIsANoOp) {
-  DeltaLog delta_log;
   KnowledgeBase kb;
-  kb.AttachDeltaLog(&delta_log);
+  Result<std::unique_ptr<DurabilityManager>> durability =
+      DurabilityManager::Open(DurableOptions("replace_if_changed"), &kb);
+  ASSERT_TRUE(durability.ok()) << durability.status().ToString();
   ASSERT_TRUE(kb.ReplaceRelation(IntRows("r", {1, 2, 3})).ok());
   const uint64_t version = kb.relation_version("r");
   const uint64_t global_version = kb.global_version();
   const uint64_t facts_added = kb.facts_added();
   const uint64_t facts_removed = kb.facts_removed();
-  const size_t delta_records = delta_log.size();
+  const uint64_t wal_records = durability.value()->wal()->appended_records();
+  ASSERT_GT(wal_records, 0u);  // the WAL logs this KB's writes
   ReadSet reads;
   kb.RecordAccesses(&reads);
   bool changed = true;
@@ -186,7 +183,7 @@ TEST(KnowledgeBaseTest, ReplaceIfChangedWithReorderedRowsIsANoOp) {
   EXPECT_EQ(kb.global_version(), global_version);
   EXPECT_EQ(kb.facts_added(), facts_added);
   EXPECT_EQ(kb.facts_removed(), facts_removed);
-  EXPECT_EQ(delta_log.size(), delta_records);
+  EXPECT_EQ(durability.value()->wal()->appended_records(), wal_records);
   // A different row set of the same size is a change.
   ASSERT_TRUE(
       kb.ReplaceRelationIfChanged(IntRows("r", {3, 1, 4}), &changed).ok());

@@ -134,7 +134,6 @@ TEST(MetricInventoryTest, RuntimeAndDesignDocAgreeBothWays) {
     config.obs.registry = &registry;
     config.obs.http_port = 0;
     config.parallelism.threads = 2;
-    config.incremental.enabled = true;  // vada_delta_* families (§5k)
     config.durability.enabled = true;
     config.durability.directory = wal_dir;
     config.durability.fsync = FsyncPolicy::kEveryCommit;

@@ -60,18 +60,6 @@ TEST(PlanBodyOrderTest, SmallerRelationGoesFirst) {
             (std::vector<size_t>{0, 1}));
 }
 
-TEST(PlanBodyOrderTest, LeadAtomIsPlacedBeforeCheaperAtoms) {
-  Rule rule = ParseRule("h(X, Z) :- big(X, Y), small(Y, Z), W = 1.");
-  Database db = ChainDb("big", 100);
-  db.Insert("small", Tuple({Value::Int(0), Value::Int(0)}));
-  // A counting sweep's delta occurrence leads even when it is the
-  // expensive side; a builtin ready from the start still goes first.
-  EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions(), nullptr, 0),
-            (std::vector<size_t>{2, 0, 1}));
-  EXPECT_EQ(PlanBodyOrder(rule, &db, PlannerOptions(), nullptr, kNoLead),
-            (std::vector<size_t>{2, 1, 0}));
-}
-
 TEST(PlanBodyOrderTest, AllConstantAtomCostsZeroAndGoesFirst) {
   Rule rule = ParseRule("h(X) :- e(X, Y), e(3, 4).");
   Database db = ChainDb("e", 50);
